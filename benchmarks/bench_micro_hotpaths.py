@@ -9,7 +9,7 @@ perf-oriented PRs have a recorded trajectory:
 * ``store_gc`` — window garbage collection (``remove_published_before``),
 * ``altt_expire`` — ALTT Δ-expiry sweeps,
 * ``publish`` — end-to-end engine publication (batched when available),
-* ``kernel_pending`` — ``SimulationKernel.pending_events`` polling.
+* ``kernel_pending`` — ``SimTransport.pending_events`` polling.
 
 Results are written to ``BENCH_hotpaths.json`` next to this file (override
 with ``--output``).  The script intentionally degrades gracefully on older
@@ -36,7 +36,7 @@ from repro.core.engine import RJoinEngine
 from repro.data.schema import Catalog, RelationSchema
 from repro.data.store import TupleStore
 from repro.data.tuples import Tuple
-from repro.net.simulator import SimulationKernel
+from repro.net.simulator import SimTransport
 
 _SEP = "\x1f"
 
@@ -208,15 +208,15 @@ def bench_publish(params: Dict[str, int]) -> Dict[str, float]:
 
 
 def bench_kernel_pending(params: Dict[str, int]) -> Dict[str, float]:
-    kernel = SimulationKernel()
+    transport = SimTransport()
     events = params["kernel_events"]
     polls = params["kernel_polls"]
     for i in range(events):
-        kernel.schedule_at(float(i), lambda: None)
+        transport.schedule_at(float(i), lambda: None)
 
     def run() -> None:
         for _ in range(polls):
-            kernel.pending_events
+            transport.pending_events
 
     return _timed("kernel_pending", polls, run)
 

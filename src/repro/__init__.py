@@ -20,7 +20,7 @@ Typical usage::
     print(handle.values())           # [(1, 99)]
 
 The engine runs on a selectable node runtime (``RJoinConfig(runtime=...)``):
-the deterministic discrete-event kernel (``sim``) or the concurrent
+the deterministic discrete-event runtime (``sim``) or the concurrent
 actor-per-node ``asyncio`` runtime; see :mod:`repro.net.runtime`.
 
 The experiment harness is importable from the package root too — those
@@ -33,7 +33,6 @@ regenerates every figure of the paper, and ``python -m repro`` for the
 command-line entry points.
 """
 
-import warnings
 from typing import Any
 
 from repro.core.answers import Answer, QueryHandle
@@ -46,7 +45,6 @@ from repro.data.schema import AttributeRef, Catalog, RelationSchema
 from repro.data.tuples import Tuple
 from repro.errors import ReproError
 from repro.net.runtime import TRANSPORT_NAMES, Transport, make_transport
-from repro.net.simulator import SimulationKernel
 from repro.sql.ast import (
     Constant,
     JoinPredicate,
@@ -77,7 +75,6 @@ __all__ = [
     "RJoinConfig",
     "RJoinEngine",
     "SelectionPredicate",
-    "SimulationKernel",
     "TRANSPORT_NAMES",
     "Transport",
     "Tuple",
@@ -107,16 +104,9 @@ _LAZY_EXPORTS = {
     "run_grid": ("repro.experiments.parallel", "run_grid"),
 }
 
-#: Names that moved during the transport extraction.  They keep resolving
-#: here (with a :class:`DeprecationWarning`) so downstream imports break
-#: loudly never, softly once.
-_DEPRECATED_ALIASES = {
-    "EventHandle": ("repro.net.runtime", "EventHandle"),
-}
-
 
 def __getattr__(name: str) -> Any:
-    """:pep:`562` hook: lazy experiment exports + deprecation shims."""
+    """:pep:`562` hook: lazy experiment exports."""
     import importlib
 
     if name in _LAZY_EXPORTS:
@@ -124,15 +114,6 @@ def __getattr__(name: str) -> Any:
         value = getattr(importlib.import_module(module_name), attribute)
         globals()[name] = value  # cache: subsequent lookups skip this hook
         return value
-    if name in _DEPRECATED_ALIASES:
-        module_name, attribute = _DEPRECATED_ALIASES[name]
-        warnings.warn(
-            f"repro.{name} is deprecated; import {attribute} from "
-            f"{module_name} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(module_name), attribute)
     # PEP 562 requires AttributeError here: hasattr()/getattr() probing
     # depends on it, so the exception-discipline rule does not apply.
     raise AttributeError(  # repro: allow[exception-discipline]

@@ -1,9 +1,9 @@
 """Rule ``determinism-purity`` — no nondeterminism inside the simulated core.
 
-The deterministic :class:`~repro.net.simulator.SimulationKernel` is the
-project's oracle harness (ROADMAP item 1 keeps it as the reference even
-after real concurrency lands): two runs with the same seed must take the
-same decisions in the same order.  That property dies the moment simulated
+The deterministic ``sim`` runtime (:class:`~repro.net.simulator.SimTransport`)
+is the project's oracle harness, kept as the reference next to the
+concurrent runtime: two runs with the same seed must take the same
+decisions in the same order.  That property dies the moment simulated
 code reads the wall clock, draws from an unseeded RNG, or iterates an
 unordered ``set`` where the order feeds observable behaviour.  This rule
 bans those constructs inside ``core/``, ``net/`` and ``dht/``:
@@ -18,7 +18,7 @@ bans those constructs inside ``core/``, ``net/`` and ``dht/``:
   ``sorted(...)`` wrapper; string hash randomisation makes that order
   differ between interpreter runs.
 
-Kernel-clock plumbing and seeded-RNG helpers that must touch these APIs
+Simulated-clock plumbing and seeded-RNG helpers that must touch these APIs
 declare it with ``# repro: allow[determinism-purity]`` or the
 :func:`repro.lint.lint_allow` decorator.
 
@@ -217,7 +217,7 @@ class DeterminismRule(Rule):
                     sf,
                     node,
                     f"call to {dotted}() is nondeterministic inside the "
-                    "simulated core; route through the kernel clock or a "
+                    "simulated core; route through the simulated clock or a "
                     "seeded RNG (allowlist if this *is* that plumbing)",
                 )
             return
@@ -228,7 +228,7 @@ class DeterminismRule(Rule):
                     sf,
                     node,
                     f"call to {dotted}() reads the wall clock; simulated "
-                    "code must use the kernel clock",
+                    "code must use the simulated clock",
                 )
             return
         if head == "random":

@@ -1,7 +1,7 @@
 """The public RJoin engine facade.
 
 :class:`RJoinEngine` assembles the whole system: the Chord ring, the
-runtime transport (the deterministic ``sim`` kernel or the concurrent
+runtime transport (the deterministic ``sim`` runtime or the concurrent
 ``asyncio`` actor runtime, selected by ``RJoinConfig.runtime``), the
 messaging API with traffic accounting, one
 :class:`~repro.core.node.RJoinNode` per DHT node, the indexing strategy, and
@@ -60,7 +60,6 @@ from repro.errors import (
 )
 from repro.metrics.collectors import ChurnStats, LoadTracker
 from repro.net.runtime import EventHandle, make_transport
-from repro.net.simulator import SimulationKernel
 from repro.net.stats import TrafficStats
 from repro.obs.context import Observability
 from repro.obs.instruments import histogram_percentiles
@@ -545,22 +544,6 @@ class RJoinEngine:
         """Name of the runtime transport this engine runs on (``sim`` / ``asyncio``)."""
         return self.transport.name
 
-    @property
-    def kernel(self) -> SimulationKernel:
-        """The deterministic event kernel (``sim`` runtime only).
-
-        Tests and oracle harnesses use it for event-level surgery; on a
-        concurrent runtime there is no kernel and this raises
-        :class:`EngineError`.
-        """
-        kernel = self.transport.kernel
-        if kernel is None:
-            raise EngineError(
-                f"the {self.transport.name!r} runtime has no simulation "
-                "kernel; event-level control is a 'sim' runtime feature"
-            )
-        return kernel
-
     def close(self) -> None:
         """Shut the engine down: drain the transport and release resources.
 
@@ -716,7 +699,7 @@ class RJoinEngine:
         :attr:`churn`).  By default the node gets a fresh ``node-{index}``
         address and a uniformly random identifier, matching how the founding
         ring was placed.  When called while messages are in flight (e.g.
-        from a kernel-scheduled churn event) the join is deferred to the
+        from a transport-scheduled churn event) the join is deferred to the
         next quiescent point so in-flight messages still reach the owner
         they were routed to.
         """

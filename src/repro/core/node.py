@@ -1066,7 +1066,7 @@ class RJoinNode:
 
         Retraction drains the network first, so in ordinary runs nothing is
         in flight when a query is removed; this guard catches the exotic
-        interleavings (kernel-scheduled membership ops firing mid-drain)
+        interleavings (transport-scheduled membership ops firing mid-drain)
         where a straggler could otherwise re-install purged state.  A shared
         state detaches its retracted subscribers and is only dropped — and
         counted by the ``orphaned_state_records`` probe — when none remain.

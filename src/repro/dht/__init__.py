@@ -11,7 +11,7 @@ subpackage implements that substrate:
   lookup-path computation, node join/leave and id movement,
 * :mod:`repro.dht.api` — the messaging API of the paper:
   ``send(msg, id)``, ``multiSend(M, I)`` and ``sendDirect(msg, addr)``, with
-  hop-accurate traffic accounting on the simulation kernel,
+  hop-accurate traffic accounting on the runtime transport,
 * :mod:`repro.dht.loadbalance` — the id-movement load balancer used by the
   lower-layer experiment of Figure 9.
 """

@@ -1,7 +1,7 @@
 """The DHT messaging API used by RJoin.
 
 Section 2 of the paper defines three primitives, all implemented here on top
-of the Chord ring and the discrete-event kernel:
+of the Chord ring and a runtime :class:`~repro.net.runtime.Transport`:
 
 * ``send(msg, id)`` — deliver ``msg`` to ``Successor(id)`` in O(log N) hops,
 * ``multiSend(msg, I)`` / ``multiSend(M, I)`` — deliver one (or a matching)
@@ -14,21 +14,20 @@ the traffic definition of Section 8.  Deliveries are posted to the runtime
 :class:`~repro.net.runtime.Transport` with a delay proportional to the hop
 count, which realises the bounded-delay asynchronous model used by the
 formal analysis (Section 4).  The service is transport-neutral: the same
-code runs on the deterministic ``sim`` kernel and the concurrent
+code runs on the deterministic ``sim`` runtime and the concurrent
 ``asyncio`` actor runtime.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.dht.chord import ChordNode, ChordRing
 from repro.errors import ConfigurationError, RoutingError
 from repro.net.messages import Envelope, Message
 from repro.net.runtime import Transport
-from repro.net.simulator import SimulationKernel, SimTransport
+from repro.net.simulator import SimTransport
 from repro.net.stats import TrafficStats
 from repro.obs.context import Observability
 from repro.obs.trace import TraceContext
@@ -44,10 +43,8 @@ class DHTMessagingService:
     ring:
         The Chord ring used for lookups and routing paths.
     transport:
-        The runtime transport deliveries are posted to.  A bare
-        :class:`~repro.net.simulator.SimulationKernel` is also accepted for
-        backward compatibility and wrapped in a
-        :class:`~repro.net.simulator.SimTransport` sharing that kernel.
+        The runtime transport deliveries are posted to; a fresh
+        :class:`~repro.net.simulator.SimTransport` when omitted.
     traffic:
         Traffic accounting sink.
     hop_delay:
@@ -67,7 +64,7 @@ class DHTMessagingService:
     def __init__(
         self,
         ring: ChordRing,
-        transport: Union[Transport, SimulationKernel, None] = None,
+        transport: Optional[Transport] = None,
         traffic: Optional[TrafficStats] = None,
         hop_delay: float = 1.0,
         delay_jitter: float = 0.0,
@@ -76,12 +73,8 @@ class DHTMessagingService:
     ) -> None:
         if hop_delay < 0 or delay_jitter < 0:
             raise ConfigurationError("delays must be non-negative")
-        if transport is None:
-            transport = SimTransport()
-        elif isinstance(transport, SimulationKernel):
-            transport = SimTransport(transport)
         self.ring = ring
-        self.transport = transport
+        self.transport = transport if transport is not None else SimTransport()
         self.transport.bind(self._deliver)
         self.traffic = traffic if traffic is not None else TrafficStats()
         self.hop_delay = hop_delay
@@ -90,28 +83,6 @@ class DHTMessagingService:
         self._obs = observability
         self._handlers: Dict[str, MessageHandler] = {}
         self._dropped = 0
-
-    @property
-    def kernel(self) -> SimulationKernel:
-        """Deprecated: the underlying simulation kernel (``sim`` runtime only).
-
-        Deliveries are now posted through :attr:`transport`; use that (or
-        ``transport.kernel`` when deterministic event surgery is really
-        needed).
-        """
-        warnings.warn(
-            "DHTMessagingService.kernel is deprecated; use "
-            "DHTMessagingService.transport (transport.kernel exposes the "
-            "sim runtime's kernel)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        kernel = self.transport.kernel
-        if kernel is None:
-            raise ConfigurationError(
-                f"the {self.transport.name!r} runtime has no simulation kernel"
-            )
-        return kernel
 
     # ------------------------------------------------------------------
     # handler registration

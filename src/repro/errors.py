@@ -47,7 +47,7 @@ class NetworkError(ReproError):
 
 
 class SimulationError(NetworkError):
-    """The simulation kernel was driven into an invalid state."""
+    """A runtime transport was driven into an invalid state."""
 
 
 # ---------------------------------------------------------------------------

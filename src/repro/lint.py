@@ -2,7 +2,7 @@
 
 The analyzer enforces project invariants (determinism purity, exception
 discipline, …) over the source tree.  Some code is *legitimately* outside an
-invariant — the kernel-clock plumbing may read simulated time, the seeded
+invariant — the simulated-clock plumbing may read simulated time, the seeded
 RNG helpers wrap :mod:`random` on purpose.  Such code declares its exemption
 explicitly, either with a trailing line comment::
 

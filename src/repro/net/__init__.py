@@ -7,9 +7,8 @@ This subpackage provides the node↔network boundary used for that purpose:
 * :class:`~repro.net.runtime.Transport` — the transport-neutral runtime
   contract (delivery, in-flight surgery, timers, clock + drain loop), with
   :func:`~repro.net.runtime.make_transport` as the registry factory,
-* :class:`~repro.net.simulator.SimulationKernel` /
-  :class:`~repro.net.simulator.SimTransport` — the deterministic
-  priority-queue discrete-event runtime (the test/oracle harness),
+* :class:`~repro.net.simulator.SimTransport` — the deterministic runtime:
+  one priority queue of deliveries and timers (the test/oracle harness),
 * :class:`~repro.net.runtime_asyncio.AsyncioTransport` — the concurrent
   runtime: one actor task per address, bounded inboxes, backpressure,
 * :class:`~repro.net.messages.Message` / :class:`~repro.net.messages.Envelope`
@@ -31,7 +30,7 @@ from repro.net.runtime import (
     Transport,
     make_transport,
 )
-from repro.net.simulator import SimTransport, SimulationKernel
+from repro.net.simulator import SimTransport
 from repro.net.stats import TrafficStats
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "EventHandle",
     "Message",
     "SimTransport",
-    "SimulationKernel",
     "TRANSPORT_NAMES",
     "TrafficStats",
     "Transport",

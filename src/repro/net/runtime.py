@@ -1,14 +1,11 @@
 """The transport-neutral node runtime contract.
 
-Historically the discrete-event :class:`~repro.net.simulator.SimulationKernel`
-*was* the architecture: the messaging API scheduled deliveries on it directly
-and the engine drained it between publications.  This module extracts the
-boundary the messaging layer actually needs into an explicit contract —
-:class:`Transport` — so the deterministic kernel becomes one runtime among
-several instead of the only one:
+The messaging API (:mod:`repro.dht.api`) posts deliveries through
+:class:`Transport` and the engine drains it between publications, so the
+network model is one runtime among several:
 
-* ``sim`` (:class:`~repro.net.simulator.SimTransport`) — the discrete-event
-  kernel, byte-identical to the historical behaviour.  Fully deterministic;
+* ``sim`` (:class:`~repro.net.simulator.SimTransport`) — one heap of
+  deliveries and timers in (time, scheduling) order.  Fully deterministic;
   the test/oracle harness.
 * ``asyncio`` (:class:`~repro.net.runtime_asyncio.AsyncioTransport`) — a
   genuinely concurrent runtime where every registered address runs as an
@@ -32,22 +29,18 @@ A transport owns four responsibilities:
    network to quiescence (every posted message delivered or destroyed, every
    due timer fired).
 
-:class:`EventHandle` (and the heap entry it wraps) lives here because both
-runtimes use the same timer representation; :mod:`repro.net.simulator`
-re-exports it for backward compatibility with a deprecation warning.
+:class:`EventHandle` (and the timer entry it wraps) lives here because both
+runtimes use the same timer representation.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.messages import Envelope
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.simulator import SimulationKernel
 
 #: Signature of the delivery callback installed with :meth:`Transport.bind`.
 DeliverCallback = Callable[[Envelope], None]
@@ -76,14 +69,13 @@ class EventHandle:
     """Handle for a scheduled timer, allows cancellation.
 
     Returned by :meth:`Transport.schedule_at` / :meth:`Transport.schedule_in`
-    on every runtime (and by ``SimulationKernel.schedule_at`` directly).  The
-    ``owner`` is whichever scheduler maintains the live-event ledger — the
-    simulation kernel or the asyncio transport.
+    on every runtime.  The ``owner`` is the transport that maintains the
+    live-event ledger.
     """
 
     __slots__ = ("_event", "_owner")
 
-    def __init__(self, event: _ScheduledEvent, owner: "_TimerLedger") -> None:
+    def __init__(self, event: _ScheduledEvent, owner: "Transport") -> None:
         self._event = event
         self._owner = owner
 
@@ -106,13 +98,7 @@ class EventHandle:
         return self._event.cancelled
 
 
-class _TimerLedger:
-    """Structural base for schedulers that own an :class:`EventHandle` ledger."""
-
-    _live_events: int = 0
-
-
-class Transport(ABC, _TimerLedger):
+class Transport(ABC):
     """The node ↔ network boundary every runtime implements.
 
     The messaging layer (:class:`repro.dht.api.DHTMessagingService`)
@@ -132,6 +118,10 @@ class Transport(ABC, _TimerLedger):
 
     #: Registry name of the runtime (``sim`` / ``asyncio``).
     name: str = "abstract"
+
+    #: Pending timers (on ``sim``, also undelivered envelopes); cancelling
+    #: an :class:`EventHandle` decrements it.
+    _live_events: int = 0
 
     #: Whether spans opened on this runtime should carry wall-clock service
     #: times.  The observability layer reads this when the engine builds its
@@ -167,9 +157,11 @@ class Transport(ABC, _TimerLedger):
     def advance_to(self, time: float) -> None:
         """Move the clock forward to ``time`` without processing anything."""
 
-    @abstractmethod
     def advance_by(self, delta: float) -> None:
         """Move the clock forward by ``delta`` time units."""
+        if delta < 0:
+            raise SimulationError("cannot advance the clock by a negative delta")
+        self.advance_to(self.now + delta)
 
     # ------------------------------------------------------------------
     # message delivery
@@ -187,8 +179,8 @@ class Transport(ABC, _TimerLedger):
     @abstractmethod
     def extract_inbound(self, address: str) -> List[Envelope]:
         """Take every undelivered envelope addressed to ``address`` off the
-        network and return them in posting order (owner failover re-routes
-        them)."""
+        network and return them in posting order — on ``sim``, in due order
+        with ties in posting order (owner failover re-routes them)."""
 
     # ------------------------------------------------------------------
     # timers
@@ -238,20 +230,6 @@ class Transport(ABC, _TimerLedger):
         Idempotent; after shutdown the transport accepts no further posts.
         """
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def kernel(self) -> Optional["SimulationKernel"]:
-        """The underlying simulation kernel, when this runtime has one.
-
-        Only the ``sim`` transport exposes a kernel; concurrent runtimes
-        return ``None``.  Callers needing deterministic event surgery should
-        check for ``None`` (or ask the engine, which raises a descriptive
-        error instead).
-        """
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"{type(self).__name__}(now={self.now:g}, "
@@ -263,7 +241,7 @@ def make_transport(name: str = DEFAULT_TRANSPORT) -> Transport:
     """Build a runtime transport by registry name (``sim`` / ``asyncio``).
 
     Implementations are imported lazily so that selecting the deterministic
-    kernel never pays for the concurrent runtime's machinery (and vice
+    runtime never pays for the concurrent runtime's machinery (and vice
     versa).
     """
     if name == "sim":
@@ -276,9 +254,3 @@ def make_transport(name: str = DEFAULT_TRANSPORT) -> Transport:
         return AsyncioTransport()
     known = ", ".join(TRANSPORT_NAMES)
     raise ConfigurationError(f"unknown runtime {name!r}; known runtimes: {known}")
-
-
-def ensure_not_reentrant(transport: Transport) -> None:
-    """Raise when a drain is started while one is already executing."""
-    if transport.is_draining:
-        raise SimulationError("drain() is not re-entrant")

@@ -36,17 +36,11 @@ import asyncio
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.net.messages import Envelope
-from repro.net.runtime import (
-    DeliverCallback,
-    EventHandle,
-    Transport,
-    _ScheduledEvent,
-    ensure_not_reentrant,
-)
+from repro.net.runtime import DeliverCallback, EventHandle, Transport, _ScheduledEvent
 
 #: Default bound on a per-address inbox before senders feel backpressure.
 DEFAULT_INBOX_CAPACITY = 1024
@@ -209,12 +203,6 @@ class AsyncioTransport(Transport):
             )
         self._now = time
 
-    def advance_by(self, delta: float) -> None:
-        """Move the logical clock forward by ``delta`` time units."""
-        if delta < 0:
-            raise SimulationError("cannot advance the clock by a negative delta")
-        self.advance_to(self._now + delta)
-
     # ------------------------------------------------------------------
     # message delivery
     # ------------------------------------------------------------------
@@ -364,7 +352,8 @@ class AsyncioTransport(Transport):
         :meth:`schedule_in` observe ``is_draining`` exactly like they do on
         the deterministic runtime.
         """
-        ensure_not_reentrant(self)
+        if self._draining:
+            raise SimulationError("drain() is not re-entrant")
         if self._closed:
             raise SimulationError("transport is shut down; cannot drain")
         self._draining = True

@@ -1,68 +1,70 @@
-"""The deterministic ``sim`` runtime: discrete-event kernel + transport.
+"""The deterministic ``sim`` runtime: the network as one event heap.
 
 Every interaction in the simulated network — a message delivery, a timer, a
-garbage-collection sweep — is an *event*: a callback scheduled at a simulated
-time.  The kernel pops events in time order (ties broken by insertion order,
-which keeps runs fully deterministic for a fixed seed) and advances the
-global clock.
-
-The kernel is deliberately minimal: it knows nothing about Chord or RJoin.
-:class:`SimTransport` adapts it to the transport-neutral
-:class:`~repro.net.runtime.Transport` contract the DHT messaging API
-(:mod:`repro.dht.api`) programs against; the engine
-(:mod:`repro.core.engine`) drains it between tuple publications.  This is
-the test/oracle harness: two runs with the same seed take the same decisions
-in the same order.
-
-.. deprecated::
-    ``EventHandle`` moved to :mod:`repro.net.runtime` during the transport
-    extraction; importing it from this module still works but warns.
+garbage-collection sweep — is an *event* due at a simulated time.
+:class:`SimTransport` keeps them all on a single heap of
+``(time, sequence, item)`` entries, where the item is the in-flight
+:class:`~repro.net.messages.Envelope` itself or a timer.  Envelopes and
+timers draw their sequence numbers from one counter, so events pop in time
+order with ties broken by scheduling order, and two runs with the same seed
+take the same decisions in the same order.  This is the test/oracle harness
+behind the transport-neutral :class:`~repro.net.runtime.Transport`
+contract; the engine (:mod:`repro.core.engine`) drains it between tuple
+publications.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import warnings
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
-from repro.net import runtime as _runtime
 from repro.net.messages import Envelope
-from repro.net.runtime import DeliverCallback, Transport, _ScheduledEvent
+from repro.net.runtime import DeliverCallback, EventHandle, Transport, _ScheduledEvent
 
-#: Names that moved to :mod:`repro.net.runtime`; accessing them here warns.
-_MOVED_TO_RUNTIME = ("EventHandle",)
-
-
-def __getattr__(name: str) -> Any:
-    """Deprecation shims for names that moved to :mod:`repro.net.runtime`."""
-    if name in _MOVED_TO_RUNTIME:
-        warnings.warn(
-            f"repro.net.simulator.{name} moved to repro.net.runtime.{name}; "
-            "update the import (the alias will be removed in a future "
-            "release)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_runtime, name)
-    # PEP 562 requires AttributeError here: hasattr()/getattr() probing
-    # depends on it, so the exception-discipline rule does not apply.
-    raise AttributeError(  # repro: allow[exception-discipline]
-        f"module {__name__!r} has no attribute {name!r}"
-    )
+#: A heap entry: due time, scheduling sequence, then the envelope or timer.
+_Entry = Tuple[float, int, Union[Envelope, _ScheduledEvent]]
 
 
-class SimulationKernel(_runtime._TimerLedger):
-    """Deterministic discrete-event scheduler with a floating-point clock."""
+class SimTransport(Transport):
+    """Deterministic discrete-event runtime behind the :class:`Transport` contract.
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = start_time
-        self._heap: List[_ScheduledEvent] = []
+    A posted envelope goes on the heap as-is and reaches the bound delivery
+    callback ``delay`` time units later.  Timers go on the same heap and
+    return a cancellable :class:`~repro.net.runtime.EventHandle`; a
+    cancelled timer stays on the heap and is skipped when popped.
+    In-flight surgery filters the heap by destination.
+    """
+
+    name = "sim"
+
+    #: Spans stay logical-clock-only here: wall time in a trace would make
+    #: two reruns of the same seed produce different trace files.
+    wall_clock_spans = False
+
+    def __init__(self) -> None:
+        self._now = 0.0
+        self._heap: List[_Entry] = []
         self._sequence = itertools.count()
+        self._deliver: Optional[DeliverCallback] = None
+        self._live_events = 0  # envelopes plus uncancelled, unfired timers
         self._events_processed = 0
-        self._running = False
-        self._live_events = 0  # heap entries that are neither cancelled nor fired
+        self._draining = False
+        self._closed = False
+
+    # ------------------------------------------------------------------
+    # wiring
+    # ------------------------------------------------------------------
+    def bind(self, deliver: DeliverCallback) -> None:
+        """Install the delivery callback posted envelopes are handed to."""
+        self._deliver = deliver
+
+    def register_address(self, address: str) -> None:
+        """No per-address state: the heap routes by envelope destination."""
+
+    def unregister_address(self, address: str) -> None:
+        """No per-address state to tear down."""
 
     # ------------------------------------------------------------------
     # clock
@@ -76,9 +78,9 @@ class SimulationKernel(_runtime._TimerLedger):
         """Move the clock forward to ``time`` without processing events.
 
         Used by the engine to model wall-clock gaps between tuple
-        publications.  Pending events scheduled before ``time`` are *not*
-        skipped: they will be processed (at their own timestamps) by the next
-        :meth:`run_until_idle` call; the clock simply never moves backwards.
+        publications.  Pending events due before ``time`` are *not*
+        skipped: the next :meth:`drain` processes them at their own
+        timestamps; the clock simply never moves backwards.
         """
         if time < self._now:
             raise SimulationError(
@@ -86,106 +88,108 @@ class SimulationKernel(_runtime._TimerLedger):
             )
         self._now = time
 
-    def advance_by(self, delta: float) -> None:
-        """Move the clock forward by ``delta`` time units."""
-        if delta < 0:
-            raise SimulationError("cannot advance the clock by a negative delta")
-        self.advance_to(self._now + delta)
+    # ------------------------------------------------------------------
+    # message delivery
+    # ------------------------------------------------------------------
+    def post(self, envelope: Envelope, delay: float) -> None:
+        """Put the envelope on the heap, due ``delay`` time units from now."""
+        if self._closed:
+            raise SimulationError("transport is shut down; post() refused")
+        if self._deliver is None:
+            raise SimulationError(
+                "no delivery callback bound; call bind() before post()"
+            )
+        if delay < 0:
+            raise SimulationError("delay must be non-negative")
+        heapq.heappush(self._heap, (self._now + delay, next(self._sequence), envelope))
+        self._live_events += 1
+
+    def cancel_inbound(self, address: str) -> int:
+        """Destroy the undelivered envelopes addressed to ``address``."""
+        return len(self._take_inbound(address))
+
+    def extract_inbound(self, address: str) -> List[Envelope]:
+        """Take the undelivered envelopes addressed to ``address`` off the
+        heap, in scheduling order."""
+        return self._take_inbound(address)
+
+    def _take_inbound(self, address: str) -> List[Envelope]:
+        taken: List[Tuple[float, int, Envelope]] = []
+        kept: List[_Entry] = []
+        for entry in self._heap:
+            item = entry[2]
+            if isinstance(item, Envelope) and item.destination == address:
+                taken.append((entry[0], entry[1], item))
+            else:
+                kept.append(entry)
+        if taken:
+            heapq.heapify(kept)
+            self._heap[:] = kept
+            self._live_events -= len(taken)
+            taken.sort()
+        return [envelope for _, _, envelope in taken]
 
     # ------------------------------------------------------------------
-    # scheduling
+    # timers
     # ------------------------------------------------------------------
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
-    ) -> _runtime.EventHandle:
+    ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule an event in the past ({time} < {self._now})"
             )
-        event = _ScheduledEvent(
+        timer = _ScheduledEvent(
             time=time, sequence=next(self._sequence), callback=callback, args=args
         )
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, timer.sequence, timer))
         self._live_events += 1
-        return _runtime.EventHandle(event, self)
+        return EventHandle(timer, self)
 
     def schedule_in(
         self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> _runtime.EventHandle:
-        """Schedule ``callback(*args)`` after ``delay`` time units."""
+    ) -> EventHandle:
+        """Schedule ``callback(*args)`` after ``delay`` simulated time units."""
         if delay < 0:
             raise SimulationError("delay must be non-negative")
         return self.schedule_at(self._now + delay, callback, *args)
-
-    def cancel_where(
-        self, predicate: Callable[[Callable[..., None], Tuple[Any, ...]], bool]
-    ) -> int:
-        """Cancel every pending event matching ``predicate(callback, args)``.
-
-        Used to model abrupt node failures: a crash destroys messages that
-        are still in flight towards the dead address, so their delivery
-        events must never fire.  Returns the number of events cancelled.
-        """
-        cancelled = 0
-        for event in self._heap:
-            if event.cancelled or event.fired:
-                continue
-            if predicate(event.callback, event.args):
-                event.cancelled = True
-                self._live_events -= 1
-                cancelled += 1
-        return cancelled
-
-    def extract_where(
-        self, predicate: Callable[[Callable[..., None], Tuple[Any, ...]], bool]
-    ) -> List[Tuple[Any, ...]]:
-        """Cancel matching pending events and return their argument tuples.
-
-        Like :meth:`cancel_where`, but hands the payloads back so the caller
-        can reschedule them differently — the mechanism behind re-routing
-        in-flight answers to a failed-over query owner.  Results are in
-        scheduling order (time, then insertion sequence).
-        """
-        extracted: List[_ScheduledEvent] = []
-        for event in self._heap:
-            if event.cancelled or event.fired:
-                continue
-            if predicate(event.callback, event.args):
-                event.cancelled = True
-                self._live_events -= 1
-                extracted.append(event)
-        extracted.sort(key=lambda event: (event.time, event.sequence))
-        return [event.args for event in extracted]
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Process the next pending event; return False when none remain."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
+        """Process the next pending event; return False when none remain.
+
+        Event-level control for tests on the ``sim`` runtime; :meth:`drain`
+        is this in a loop.
+        """
+        heap = self._heap
+        while heap:
+            time, _, item = heapq.heappop(heap)
+            if isinstance(item, _ScheduledEvent) and item.cancelled:
                 continue
-            if event.time > self._now:
-                self._now = event.time
+            if time > self._now:
+                self._now = time
             self._events_processed += 1
             self._live_events -= 1
-            event.fired = True
-            event.callback(*event.args)
+            if isinstance(item, Envelope):
+                deliver = self._deliver
+                assert deliver is not None  # post() requires bind()
+                deliver(item)
+            else:
+                item.fired = True
+                item.callback(*item.args)
             return True
         return False
 
-    def run_until_idle(self, max_events: Optional[int] = None) -> int:
-        """Process events until the queue is empty.
-
-        Returns the number of events processed.  ``max_events`` guards
-        against runaway event cascades (useful in tests); exceeding it raises
-        :class:`~repro.errors.SimulationError`.
-        """
-        if self._running:
-            raise SimulationError("run_until_idle() is not re-entrant")
-        self._running = True
+    def drain(self, max_events: Optional[int] = None) -> int:
+        """Process events until the heap is empty; returns the number processed."""
+        if self._draining:
+            raise SimulationError("drain() is not re-entrant")
+        if self._closed:
+            raise SimulationError("transport is shut down; cannot drain")
+        self._draining = True
         processed = 0
         try:
             while self.step():
@@ -195,197 +199,38 @@ class SimulationKernel(_runtime._TimerLedger):
                         f"exceeded the maximum of {max_events} events"
                     )
         finally:
-            self._running = False
+            self._draining = False
         return processed
-
-    def run_until(self, time: float, max_events: Optional[int] = None) -> int:
-        """Process events with timestamps up to ``time`` (inclusive)."""
-        processed = 0
-        while self._heap:
-            upcoming = self._next_pending()
-            if upcoming is None or upcoming.time > time:
-                break
-            self.step()
-            processed += 1
-            if max_events is not None and processed > max_events:
-                raise SimulationError(f"exceeded the maximum of {max_events} events")
-        self.advance_to(max(self._now, time))
-        return processed
-
-    def _next_pending(self) -> Optional[_ScheduledEvent]:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def pending_events(self) -> int:
-        """Number of events waiting in the queue (excluding cancelled ones); O(1)."""
-        return self._live_events
-
-    @property
-    def is_running(self) -> bool:
-        """Whether an event-processing loop is currently executing."""
-        return self._running
-
-    @property
-    def events_processed(self) -> int:
-        """Total number of events processed since the kernel was created."""
-        return self._events_processed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SimulationKernel(now={self._now:g}, pending={self.pending_events}, "
-            f"processed={self._events_processed})"
-        )
-
-
-class SimTransport(Transport):
-    """The discrete-event kernel behind the :class:`Transport` contract.
-
-    Pure adaptation, no behaviour of its own: deliveries become kernel
-    events scheduled ``delay`` time units out and fire in (time, insertion)
-    order, exactly as the messaging API historically scheduled them — runs
-    are byte-identical to the pre-transport engine.  In-flight surgery maps
-    onto the kernel's predicate-based event cancellation/extraction.
-    """
-
-    name = "sim"
-
-    #: Spans stay logical-clock-only here: wall time in a trace would make
-    #: two reruns of the same seed produce different trace files.
-    wall_clock_spans = False
-
-    def __init__(self, kernel: Optional[SimulationKernel] = None) -> None:
-        self._kernel = kernel if kernel is not None else SimulationKernel()
-        self._deliver: Optional[DeliverCallback] = None
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # wiring
-    # ------------------------------------------------------------------
-    def bind(self, deliver: DeliverCallback) -> None:
-        """Install the delivery callback posted envelopes are handed to."""
-        self._deliver = deliver
-
-    def register_address(self, address: str) -> None:
-        """No per-address state: the kernel routes by envelope destination."""
-
-    def unregister_address(self, address: str) -> None:
-        """No per-address state to tear down."""
-
-    # ------------------------------------------------------------------
-    # clock
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._kernel.now
-
-    def advance_to(self, time: float) -> None:
-        """Move the simulated clock forward to ``time``."""
-        self._kernel.advance_to(time)
-
-    def advance_by(self, delta: float) -> None:
-        """Move the simulated clock forward by ``delta`` time units."""
-        self._kernel.advance_by(delta)
-
-    # ------------------------------------------------------------------
-    # message delivery
-    # ------------------------------------------------------------------
-    def post(self, envelope: Envelope, delay: float) -> None:
-        """Schedule the envelope's delivery event on the kernel."""
-        if self._closed:
-            raise SimulationError("transport is shut down; post() refused")
-        if self._deliver is None:
-            raise SimulationError(
-                "no delivery callback bound; call bind() before post()"
-            )
-        self._kernel.schedule_in(delay, self._deliver, envelope)
-
-    def cancel_inbound(self, address: str) -> int:
-        """Cancel the delivery events of messages addressed to ``address``."""
-        # Bound-method comparison must use ``==``: every attribute access on
-        # the messaging service creates a fresh bound-method object, so a
-        # rebinding caller would defeat an ``is`` check.
-        deliver = self._deliver
-        return self._kernel.cancel_where(
-            lambda callback, args: callback == deliver
-            and bool(args)
-            and args[0].destination == address
-        )
-
-    def extract_inbound(self, address: str) -> List[Envelope]:
-        """Take the undelivered messages addressed to ``address`` off the kernel."""
-        deliver = self._deliver
-        pending = self._kernel.extract_where(
-            lambda callback, args: callback == deliver
-            and bool(args)
-            and args[0].destination == address
-        )
-        return [args[0] for args in pending]
-
-    # ------------------------------------------------------------------
-    # timers
-    # ------------------------------------------------------------------
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> _runtime.EventHandle:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        return self._kernel.schedule_at(time, callback, *args)
-
-    def schedule_in(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> _runtime.EventHandle:
-        """Schedule ``callback(*args)`` after ``delay`` simulated time units."""
-        return self._kernel.schedule_in(delay, callback, *args)
-
-    # ------------------------------------------------------------------
-    # drain / shutdown
-    # ------------------------------------------------------------------
-    def drain(self, max_events: Optional[int] = None) -> int:
-        """Process events until the kernel queue is empty."""
-        return self._kernel.run_until_idle(max_events=max_events)
 
     @property
     def is_draining(self) -> bool:
-        """Whether the kernel's event loop is currently executing."""
-        return self._kernel.is_running
+        """Whether :meth:`drain` is currently executing."""
+        return self._draining
 
     @property
     def pending_events(self) -> int:
-        """Events waiting on the kernel (messages and timers)."""
-        return self._kernel.pending_events
+        """Undelivered envelopes plus uncancelled pending timers; O(1)."""
+        return self._live_events
 
     @property
     def events_processed(self) -> int:
-        """Total events the kernel has processed."""
-        return self._kernel.events_processed
+        """Total deliveries and timer firings since construction."""
+        return self._events_processed
 
     def shutdown(self) -> None:
         """Drain remaining events and refuse further posts.  Idempotent.
 
-        The kernel holds no external resources, so shutdown only needs to
+        The heap holds no external resources, so shutdown only needs to
         honour the contract: outstanding work completes, then the transport
         goes inert.
         """
         if self._closed:
             return
-        if not self._kernel.is_running and self._kernel.pending_events:
-            self._kernel.run_until_idle()
+        if not self._draining and self._live_events:
+            self.drain()
         self._closed = True
 
     @property
     def is_closed(self) -> bool:
         """Whether :meth:`shutdown` has completed."""
         return self._closed
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def kernel(self) -> SimulationKernel:
-        """The underlying deterministic kernel (sim runtime only)."""
-        return self._kernel

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import random
 import signal
+from typing import Optional
 
 import pytest
 
 from repro.core.config import RJoinConfig
 from repro.core.engine import RJoinEngine
+from repro.core.protocol import AnswerMessage
 from repro.data.schema import Catalog
+from repro.net.messages import Envelope
+from repro.net.simulator import SimTransport
+from repro.workload.generator import WorkloadGenerator
 
 
 @pytest.fixture(autouse=True)
@@ -71,3 +76,27 @@ def make_engine(catalog: Catalog, **config_overrides) -> RJoinEngine:
     params = {"num_nodes": 16, "seed": 7}
     params.update(config_overrides)
     return RJoinEngine(RJoinConfig(**params), catalog=catalog)
+
+
+def answer_in_flight(
+    engine: RJoinEngine, generator: WorkloadGenerator
+) -> Optional[Envelope]:
+    """Publish up to 60 generated tuples, stepping the ``sim`` transport one
+    event at a time, until an answer is in flight towards a remote owner
+    that is still on the ring; returns its envelope (``None`` if the
+    workload never produced one).  Tests crash the owner next."""
+    transport = engine.transport
+    assert isinstance(transport, SimTransport)
+    for generated in generator.generate_tuples(60):
+        engine.publish(generated.relation, generated.values, process=False)
+        while transport.pending_events:
+            for _, _, item in transport._heap:
+                if (
+                    isinstance(item, Envelope)
+                    and isinstance(item.message, AnswerMessage)
+                    and item.sender != item.destination
+                    and item.destination in engine.nodes
+                ):
+                    return item
+            transport.step()
+    return None

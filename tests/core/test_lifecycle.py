@@ -26,6 +26,7 @@ from repro.core.reference import ReferenceEngine
 from repro.data.backends import BACKEND_NAMES
 from repro.errors import EngineError
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
+from tests.conftest import answer_in_flight
 
 STRATEGIES = ("rjoin", "random", "worst", "first")
 
@@ -301,33 +302,10 @@ class TestOwnerFailover:
         assert_answer_bags_match(handles, reference)
 
     def test_in_flight_answers_reroute_to_survivor(self):
-        from repro.core.protocol import AnswerMessage
-
         generator, engine, _, handles = build(queries=8, tuples=30)
         by_id = {handle.query_id: handle for handle in handles}
-        # Step the kernel by hand until an answer is in flight towards a
-        # (remote) owner, then crash that owner before the delivery fires.
-        target = None
-        for generated in generator.generate_tuples(60):
-            engine.publish(generated.relation, generated.values, process=False)
-            while engine.kernel.pending_events:
-                pending = [
-                    event.args[0]
-                    for event in engine.kernel._heap
-                    if not event.cancelled
-                    and not event.fired
-                    and event.args
-                    and hasattr(event.args[0], "message")
-                    and isinstance(event.args[0].message, AnswerMessage)
-                    and event.args[0].sender != event.args[0].destination
-                    and event.args[0].destination in engine.nodes
-                ]
-                if pending:
-                    target = pending[0]
-                    break
-                engine.kernel.step()
-            if target is not None:
-                break
+        # Crash the owner of an in-flight answer before the delivery fires.
+        target = answer_in_flight(engine, generator)
         assert target is not None, "workload produced no in-flight answer"
         owner = target.destination
         handle = by_id[target.message.query_id]

@@ -19,7 +19,7 @@ from repro.core.config import RJoinConfig
 from repro.core.engine import RJoinEngine
 from repro.core.reference import ReferenceEngine
 from repro.data.backends import BACKEND_NAMES
-from repro.errors import EngineError, SimulationError
+from repro.errors import SimulationError
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 
 pytestmark = pytest.mark.hard_timeout(300)
@@ -222,17 +222,6 @@ class TestEngineRuntimeSurface:
             assert engine.runtime == "asyncio"
         engine = RJoinEngine(RJoinConfig(num_nodes=8, seed=1), catalog=small_catalog)
         assert engine.runtime == "sim"
-        engine.close()
-
-    def test_kernel_access_raises_off_sim(self, small_catalog):
-        with RJoinEngine(
-            RJoinConfig(num_nodes=8, seed=1, runtime="asyncio"),
-            catalog=small_catalog,
-        ) as engine:
-            with pytest.raises(EngineError, match="no simulation kernel"):
-                engine.kernel
-        engine = RJoinEngine(RJoinConfig(num_nodes=8, seed=1), catalog=small_catalog)
-        assert engine.kernel is engine.transport.kernel
         engine.close()
 
     def test_close_is_idempotent_and_final(self, small_catalog):

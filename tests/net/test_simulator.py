@@ -1,149 +1,156 @@
-"""Tests for the discrete-event simulation kernel."""
+"""Tests for the ``sim`` runtime's event heap: what only it guarantees.
+
+The transport contract both runtimes share lives in
+``test_transport_conformance.py``; this module covers the deterministic
+extras — one (time, scheduling) order across envelopes and timers, exact
+clock values, :meth:`SimTransport.step` and the live-event counter.
+"""
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.net.simulator import SimulationKernel
+from repro.net.messages import Envelope, Message
+from repro.net.simulator import SimTransport
 
 
-class TestScheduling:
-    def test_events_run_in_time_order(self):
-        kernel = SimulationKernel()
-        order = []
-        kernel.schedule_at(5.0, order.append, "late")
-        kernel.schedule_at(1.0, order.append, "early")
-        kernel.schedule_at(3.0, order.append, "middle")
-        kernel.run_until_idle()
-        assert order == ["early", "middle", "late"]
+def envelope(destination: str = "node-1") -> Envelope:
+    return Envelope(message=Message(), sender="node-0", destination=destination)
 
-    def test_ties_broken_by_insertion_order(self):
-        kernel = SimulationKernel()
-        order = []
-        kernel.schedule_at(2.0, order.append, "first")
-        kernel.schedule_at(2.0, order.append, "second")
-        kernel.run_until_idle()
-        assert order == ["first", "second"]
 
-    def test_schedule_in_relative_delay(self):
-        kernel = SimulationKernel(start_time=10.0)
-        seen = []
-        kernel.schedule_in(2.5, lambda: seen.append(kernel.now))
-        kernel.run_until_idle()
-        assert seen == [12.5]
+@pytest.fixture
+def fired():
+    """Everything the transport fired, in order: envelopes and timer tags."""
+    return []
 
-    def test_clock_advances_to_event_time(self):
-        kernel = SimulationKernel()
-        kernel.schedule_at(7.0, lambda: None)
-        kernel.run_until_idle()
-        assert kernel.now == 7.0
 
-    def test_scheduling_in_the_past_rejected(self):
-        kernel = SimulationKernel(start_time=5.0)
-        with pytest.raises(SimulationError):
-            kernel.schedule_at(1.0, lambda: None)
-        with pytest.raises(SimulationError):
-            kernel.schedule_in(-1.0, lambda: None)
+@pytest.fixture
+def transport(fired):
+    runtime = SimTransport()
+    runtime.bind(fired.append)
+    return runtime
 
-    def test_cascading_events(self):
-        kernel = SimulationKernel()
+
+class TestOneOrder:
+    def test_timer_scheduled_first_fires_before_envelope_due_together(
+        self, transport, fired
+    ):
+        transport.schedule_at(9.0, fired.append, "late timer")
+        transport.schedule_at(1.0, fired.append, "timer")
+        env = envelope()
+        transport.post(env, 1.0)
+        transport.drain()
+        assert fired == ["timer", env, "late timer"]
+
+    def test_envelope_posted_first_fires_before_timer_due_together(
+        self, transport, fired
+    ):
+        late, env = envelope(), envelope()
+        transport.post(late, 9.0)
+        transport.post(env, 1.0)
+        transport.schedule_at(1.0, fired.append, "timer")
+        transport.drain()
+        assert fired == [env, "timer", late]
+
+    def test_extract_returns_due_order_and_keeps_the_rest_ordered(
+        self, transport, fired
+    ):
+        slow, fast, other = envelope(), envelope(), envelope("node-2")
+        transport.post(slow, 3.0)
+        transport.post(other, 2.0)
+        transport.post(fast, 1.0)
+        transport.schedule_at(2.0, fired.append, "timer")
+        assert transport.extract_inbound("node-1") == [fast, slow]
+        assert transport.pending_events == 2
+        transport.drain()
+        assert fired == [other, "timer"]
+
+    def test_cancel_inbound_mid_drain_keeps_the_order(self, transport, fired):
+        # A crash fired from inside a drain filters the heap under the loop.
+        first, lost, also_lost, last = (
+            envelope(),
+            envelope("node-2"),
+            envelope("node-2"),
+            envelope(),
+        )
+
+        def crash_node_2(env):
+            fired.append(env)
+            if env is first:
+                assert transport.cancel_inbound("node-2") == 2
+
+        transport.bind(crash_node_2)
+        transport.post(last, 3.0)
+        transport.post(lost, 2.0)
+        transport.post(first, 1.0)
+        transport.post(also_lost, 2.0)
+        assert transport.drain() == 2
+        assert fired == [first, last]
+        assert transport.pending_events == 0
+
+
+class TestClock:
+    def test_clock_reads_each_event_time_exactly(self, transport):
+        transport.advance_to(10.0)
         seen = []
 
         def first():
-            seen.append("first")
-            kernel.schedule_in(1.0, second)
+            seen.append(transport.now)
+            transport.schedule_in(1.0, lambda: seen.append(transport.now))
 
-        def second():
-            seen.append("second")
+        transport.schedule_in(2.5, first)
+        transport.drain()
+        assert seen == [12.5, 13.5]
+        assert transport.now == 13.5
 
-        kernel.schedule_in(1.0, first)
-        kernel.run_until_idle()
-        assert seen == ["first", "second"]
-        assert kernel.now == 2.0
-
-
-class TestCancellation:
-    def test_cancelled_events_do_not_fire(self):
-        kernel = SimulationKernel()
+    def test_delivery_happens_at_the_envelope_due_time(self, transport):
         seen = []
-        handle = kernel.schedule_at(1.0, seen.append, "x")
-        handle.cancel()
-        kernel.run_until_idle()
-        assert not seen
-        assert handle.cancelled
-
-    def test_pending_events_excludes_cancelled(self):
-        kernel = SimulationKernel()
-        keep = kernel.schedule_at(1.0, lambda: None)
-        drop = kernel.schedule_at(2.0, lambda: None)
-        drop.cancel()
-        assert kernel.pending_events == 1
-        assert keep.time == 1.0
+        transport.bind(lambda env: seen.append(transport.now))
+        transport.advance_to(4.0)
+        transport.post(envelope(), 2.0)
+        transport.drain()
+        assert seen == [6.0]
 
 
-class TestClockControl:
-    def test_advance_to_and_by(self):
-        kernel = SimulationKernel()
-        kernel.advance_to(5.0)
-        kernel.advance_by(2.0)
-        assert kernel.now == 7.0
+class TestStep:
+    def test_step_processes_one_event_at_a_time(self, transport, fired):
+        env = envelope()
+        transport.post(env, 1.0)
+        transport.schedule_at(2.0, fired.append, "timer")
+        assert transport.step() is True
+        assert fired == [env]
+        assert transport.pending_events == 1
+        assert transport.step() is True
+        assert transport.step() is False
+        assert fired == [env, "timer"]
+        assert transport.events_processed == 2
 
-    def test_advance_backwards_rejected(self):
-        kernel = SimulationKernel()
-        kernel.advance_to(5.0)
-        with pytest.raises(SimulationError):
-            kernel.advance_to(1.0)
-        with pytest.raises(SimulationError):
-            kernel.advance_by(-0.1)
+    def test_step_skips_cancelled_timers(self, transport, fired):
+        transport.schedule_at(1.0, fired.append, "dropped").cancel()
+        transport.schedule_at(2.0, fired.append, "kept")
+        assert transport.step() is True
+        assert fired == ["kept"]
+        assert transport.step() is False
+        assert transport.events_processed == 1
 
-    def test_run_until_processes_only_due_events(self):
-        kernel = SimulationKernel()
-        seen = []
-        kernel.schedule_at(1.0, seen.append, "a")
-        kernel.schedule_at(10.0, seen.append, "b")
-        processed = kernel.run_until(5.0)
-        assert processed == 1
-        assert seen == ["a"]
-        assert kernel.now == 5.0
-        kernel.run_until_idle()
-        assert seen == ["a", "b"]
-
-
-class TestGuards:
-    def test_max_events_guard(self):
-        kernel = SimulationKernel()
-
-        def loop():
-            kernel.schedule_in(1.0, loop)
-
-        kernel.schedule_in(1.0, loop)
-        with pytest.raises(SimulationError):
-            kernel.run_until_idle(max_events=10)
-
-    def test_events_processed_counter(self):
-        kernel = SimulationKernel()
-        for i in range(4):
-            kernel.schedule_at(float(i + 1), lambda: None)
-        kernel.run_until_idle()
-        assert kernel.events_processed == 4
+    def test_cancel_after_fire_keeps_counter_consistent(self, transport):
+        handle = transport.schedule_at(1.0, lambda: None)
+        transport.schedule_at(2.0, lambda: None)
+        transport.step()
+        handle.cancel()  # no-op: the timer already fired
+        assert transport.pending_events == 1
+        transport.drain()
+        assert transport.pending_events == 0
 
 
 class TestPendingEventsCounter:
-    def test_pending_events_is_tracked_incrementally(self):
-        kernel = SimulationKernel()
-        handles = [kernel.schedule_at(float(i), lambda: None) for i in range(5)]
-        assert kernel.pending_events == 5
+    def test_pending_events_is_tracked_incrementally(self, transport):
+        handles = [transport.schedule_at(float(i), lambda: None) for i in range(5)]
+        for _ in range(3):
+            transport.post(envelope(), 1.0)
+        assert transport.pending_events == 8
         handles[0].cancel()
         handles[0].cancel()  # double cancel must not double count
-        assert kernel.pending_events == 4
-        kernel.run_until_idle()
-        assert kernel.pending_events == 0
-
-    def test_cancel_after_fire_keeps_counter_consistent(self):
-        kernel = SimulationKernel()
-        handle = kernel.schedule_at(1.0, lambda: None)
-        kernel.schedule_at(2.0, lambda: None)
-        kernel.step()
-        handle.cancel()  # no-op: the event already fired
-        assert kernel.pending_events == 1
-        kernel.run_until_idle()
-        assert kernel.pending_events == 0
+        assert transport.pending_events == 7
+        assert transport.cancel_inbound("node-1") == 3
+        assert transport.pending_events == 4
+        transport.drain()
+        assert transport.pending_events == 0

@@ -80,20 +80,16 @@ class TestFactory:
         with pytest.raises(ConfigurationError, match="unknown runtime"):
             make_transport("carrier-pigeon")
 
-    def test_only_sim_exposes_a_kernel(self):
-        for name in TRANSPORT_NAMES:
-            runtime = make_transport(name)
-            if name == "sim":
-                assert runtime.kernel is not None
-            else:
-                assert runtime.kernel is None
-            runtime.shutdown()
-
 
 class TestDelivery:
     def test_post_requires_bind(self, transport):
         with pytest.raises(SimulationError, match="bind"):
             transport.post(envelope("node-1"), 1.0)
+
+    def test_negative_delay_is_rejected(self, transport, recorder):
+        with pytest.raises(SimulationError, match="non-negative"):
+            transport.post(envelope("node-1"), -1.0)
+        assert transport.pending_events == 0
 
     def test_every_posted_envelope_arrives_exactly_once(
         self, transport, recorder
@@ -170,6 +166,12 @@ class TestDelivery:
         with pytest.raises(SimulationError, match="maximum"):
             transport.drain(max_events=50)
 
+    def test_drain_is_not_reentrant(self, transport, recorder):
+        transport.bind(lambda env: transport.drain())
+        transport.post(envelope("node-1"), 1.0)
+        with pytest.raises(SimulationError, match="re-entrant"):
+            transport.drain()
+
     def test_is_draining_is_visible_to_handlers(self, transport, recorder):
         observed = []
 
@@ -235,6 +237,27 @@ class TestTimers:
         transport.drain()
         assert fired == ["early", "middle", "late"]
 
+    def test_timers_due_together_fire_in_scheduling_order(
+        self, transport, recorder
+    ):
+        fired = []
+        for tag in ("first", "second", "third"):
+            transport.schedule_at(2.0, fired.append, tag)
+        transport.drain()
+        assert fired == ["first", "second", "third"]
+
+    def test_timer_cascade_sees_each_due_time(self, transport, recorder):
+        transport.advance_to(10.0)
+        seen = []
+
+        def first():
+            seen.append(transport.now)
+            transport.schedule_in(1.0, lambda: seen.append(transport.now))
+
+        transport.schedule_in(2.5, first)
+        transport.drain()
+        assert seen == [12.5, 13.5]
+
     def test_cancelled_timer_never_fires(self, transport, recorder):
         fired = []
         handle = transport.schedule_in(1.0, fired.append, "cancelled")
@@ -280,6 +303,18 @@ class TestClock:
             transport.advance_to(1.0)
         with pytest.raises(SimulationError, match="negative"):
             transport.advance_by(-1.0)
+        transport.advance_by(2.0)
+        assert transport.now == 7.0
+
+    def test_events_processed_counts_deliveries_and_timers(
+        self, transport, recorder
+    ):
+        for _ in range(3):
+            transport.post(envelope("node-1"), 1.0)
+        transport.schedule_in(2.0, lambda: None)
+        transport.schedule_in(2.0, lambda: None).cancel()
+        assert transport.drain() == 4
+        assert transport.events_processed == 4
 
     def test_drain_ratchets_the_clock_to_processed_work(
         self, transport, recorder
@@ -306,6 +341,11 @@ class TestShutdown:
         transport.shutdown()
         with pytest.raises(SimulationError, match="shut down"):
             transport.post(envelope("node-1"), 1.0)
+
+    def test_drain_after_shutdown_is_refused(self, transport, recorder):
+        transport.shutdown()
+        with pytest.raises(SimulationError, match="shut down"):
+            transport.drain()
 
 
 class TestBackpressure:

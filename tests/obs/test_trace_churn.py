@@ -17,6 +17,7 @@ import pytest
 from repro.core.config import RJoinConfig
 from repro.core.engine import RJoinEngine
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
+from tests.conftest import answer_in_flight
 
 STRATEGIES = ("rjoin", "random", "worst", "first")
 RUNTIMES = ("sim", "asyncio")
@@ -98,34 +99,10 @@ class TestInFlightFailover:
     """The redirected answer keeps its original trace (sim: deterministic)."""
 
     def test_rerouted_answer_stays_in_its_trace(self):
-        from repro.core.protocol import AnswerMessage
-
         generator, engine, handles = build(queries=8, tuples=30)
         by_id = {handle.query_id: handle for handle in handles}
-        # Step the kernel by hand until an answer is in flight towards a
-        # remote owner, then crash that owner before the delivery fires
-        # (the idiom of test_lifecycle's reroute test).
-        target = None
-        for generated in generator.generate_tuples(60):
-            engine.publish(generated.relation, generated.values, process=False)
-            while engine.kernel.pending_events:
-                pending = [
-                    event.args[0]
-                    for event in engine.kernel._heap
-                    if not event.cancelled
-                    and not event.fired
-                    and event.args
-                    and hasattr(event.args[0], "message")
-                    and isinstance(event.args[0].message, AnswerMessage)
-                    and event.args[0].sender != event.args[0].destination
-                    and event.args[0].destination in engine.nodes
-                ]
-                if pending:
-                    target = pending[0]
-                    break
-                engine.kernel.step()
-            if target is not None:
-                break
+        # Crash the owner of an in-flight answer before the delivery fires.
+        target = answer_in_flight(engine, generator)
         assert target is not None, "workload produced no in-flight answer"
         assert target.trace is not None, "in-flight envelope was not stamped"
         redirected_trace = target.trace.trace_id

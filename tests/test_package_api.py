@@ -1,11 +1,9 @@
-"""The package's public face: ``repro`` exports, shims and the umbrella CLI.
+"""The package's public face: ``repro`` exports and the umbrella CLI.
 
-The API redesign promises three things at the package root:
+The package root promises two things:
 
 * every name in ``repro.__all__`` resolves (eagerly or lazily via
   :pep:`562`), and the documented quickstart import works,
-* names that moved during the transport extraction keep resolving from
-  their old locations — with a :class:`DeprecationWarning`, never silently,
 * ``python -m repro`` dispatches to the sub-CLIs while the historical
   direct invocations stay untouched.
 """
@@ -14,7 +12,6 @@ from __future__ import annotations
 
 import subprocess
 import sys
-import warnings
 
 import pytest
 
@@ -58,43 +55,6 @@ class TestPublicExports:
         engine.publish("S", (10, 99))
         assert handle.values() == [(1, 99)]
         engine.close()
-
-
-class TestDeprecationShims:
-    def test_package_event_handle_warns_but_works(self):
-        from repro.net.runtime import EventHandle
-
-        with pytest.warns(DeprecationWarning, match="repro.EventHandle"):
-            alias = repro.EventHandle
-        assert alias is EventHandle
-
-    def test_simulator_event_handle_warns_but_works(self):
-        import repro.net.simulator as simulator
-        from repro.net.runtime import EventHandle
-
-        with pytest.warns(DeprecationWarning, match="moved to"):
-            alias = simulator.EventHandle
-        assert alias is EventHandle
-
-    def test_messaging_kernel_property_warns_but_works(self):
-        from repro.dht.api import DHTMessagingService
-        from repro.dht.chord import ChordRing
-        from repro.dht.hashing import IdentifierSpace
-
-        ring = ChordRing.create_network(4, space=IdentifierSpace(16), seed=1)
-        service = DHTMessagingService(ring)
-        with pytest.warns(DeprecationWarning, match="transport"):
-            kernel = service.kernel
-        assert kernel is service.transport.kernel
-
-    def test_simulator_unknown_attribute_still_raises(self):
-        import repro.net.simulator as simulator
-
-        with pytest.raises(AttributeError, match="no attribute"):
-            simulator.nonsense
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # probing must not warn
-            assert not hasattr(simulator, "also_nonsense")
 
 
 class TestUmbrellaCli:
