@@ -6,7 +6,7 @@ perf-oriented PRs have a recorded trajectory:
 
 * ``store_add`` — tuple insertion throughput of :class:`TupleStore`,
 * ``prefix_match`` — attribute-level lookups (``tuples_for_prefix``),
-* ``store_gc`` — window garbage collection (``remove_published_before``),
+* ``store_gc`` — window garbage collection (``remove_expired``),
 * ``altt_expire`` — ALTT Δ-expiry sweeps,
 * ``publish`` — end-to-end engine publication (batched when available),
 * ``kernel_pending`` — ``SimTransport.pending_events`` polling.
@@ -158,7 +158,7 @@ def bench_store_gc(params: Dict[str, int]) -> Dict[str, float]:
     def run() -> None:
         removed = 0
         for tick in range(1, ticks + 1):
-            removed += store.remove_published_before(tick * step)
+            removed += store.remove_expired(published_before=tick * step)
         assert removed == n, f"expected {n} removals, got {removed}"
 
     return _timed("store_gc", ticks, run)

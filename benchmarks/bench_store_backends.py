@@ -1,16 +1,13 @@
 """Throughput of every tuple-store backend on the store hot paths.
 
-Measures, per registered backend (``memory`` / ``sqlite`` / ``append-log``)
-and in operations per second:
+Measures, per registered backend (``memory`` / ``sqlite``) and in
+operations per second:
 
 * ``add`` — insertion throughput (the sqlite backend amortises this through
   its batched write buffer, so the flush cost is included),
 * ``prefix_match`` — attribute-level prefix lookups over a populated store,
-* ``batch_match`` — the same lookups through the set-at-a-time
-  ``tuples_for_prefixes`` API, whole probe batches per call,
-* ``window_gc`` — ``remove_published_before`` ticks interleaved with fresh
-  writes, the window-churn pressure pattern (this is what triggers
-  compaction in the append-log backend),
+* ``window_gc`` — ``remove_expired(published_before=…)`` ticks over the
+  populated store, the window-churn pressure pattern,
 * ``rehome`` — ``remove_key`` + replay into a fresh store of the same kind,
   the membership re-homing round trip.
 
@@ -21,10 +18,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_store_backends.py [--smoke]
         [--tuples N] [--lookups N] [--gc-ticks N]
-        [--compact-min-dead N] [--compact-fraction F]
-
-The ``--compact-*`` flags sweep the append-log compaction thresholds
-(they are ignored by the other backends).
 """
 
 from __future__ import annotations
@@ -35,12 +28,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.data.backends import (
-    BACKEND_NAMES,
-    SEPARATOR,
-    StoreTuning,
-    make_store,
-)
+from repro.data.backends import BACKEND_NAMES, SEPARATOR, make_store
 from repro.data.schema import RelationSchema
 from repro.data.tuples import Tuple
 
@@ -97,15 +85,11 @@ def _timed(operations: int, fn) -> Dict[str, float]:
     }
 
 
-def _measure_backend(
-    backend: str,
-    sizes: Dict[str, int],
-    tuning: Optional[StoreTuning] = None,
-) -> Dict[str, object]:
+def _measure_backend(backend: str, sizes: Dict[str, int]) -> Dict[str, object]:
     tuples = _make_tuples(sizes["tuples"])
 
     # add ------------------------------------------------------------------
-    store = make_store(backend, tuning=tuning)
+    store = make_store(backend)
 
     def _add() -> None:
         for tup in tuples:
@@ -126,35 +110,25 @@ def _measure_backend(
 
     timing_prefix = _timed(lookups, _lookup)
 
-    # batch_match ----------------------------------------------------------
-    # Same probe volume, but whole batches through the set-at-a-time API.
-    batch_rounds = max(lookups // len(prefixes), 1)
-
-    def _batch_lookup() -> None:
-        for _ in range(batch_rounds):
-            store.tuples_for_prefixes(prefixes)
-
-    timing_batch = _timed(batch_rounds * len(prefixes), _batch_lookup)
-
     # window_gc ------------------------------------------------------------
     ticks = sizes["gc_ticks"]
     window = max(sizes["tuples"] // max(ticks, 1), 1)
 
     def _gc() -> None:
         for tick in range(1, ticks + 1):
-            store.remove_published_before(float(tick * window))
+            store.remove_expired(published_before=float(tick * window))
 
     timing_gc = _timed(ticks, _gc)
 
     # rehome ---------------------------------------------------------------
-    source = make_store(backend, tuning=tuning)
+    source = make_store(backend)
     rehome_tuples = tuples[: max(sizes["tuples"] // 4, 1)]
     for tup in rehome_tuples:
         source.add(_key_of(tup), tup, now=tup.pub_time)
     # Settle the source's write buffer so the rehome window times only the
     # extraction + replay round trip, not the source's own pending inserts.
     source.flush()
-    target = make_store(backend, tuning=tuning)
+    target = make_store(backend)
 
     def _rehome() -> None:
         for key in list(source.keys()):
@@ -169,50 +143,31 @@ def _measure_backend(
         "ops_per_sec": {
             "add": round(timing_add["rate"], 2),
             "prefix_match": round(timing_prefix["rate"], 2),
-            "batch_match": round(timing_batch["rate"], 2),
             "window_gc": round(timing_gc["rate"], 2),
             "rehome": round(timing_rehome["rate"], 2),
         },
         "seconds": {
             "add": timing_add["seconds"],
             "prefix_match": timing_prefix["seconds"],
-            "batch_match": timing_batch["seconds"],
             "window_gc": timing_gc["seconds"],
             "rehome": timing_rehome["seconds"],
         },
         "residual_records": len(store),
     }
-    compactions = getattr(store, "compactions", None)
-    if compactions is not None:
-        result["compactions"] = compactions
     for opened in (store, source, target):
         opened.close()
     return result
 
 
-def run_bench(
-    smoke: bool = False,
-    tuning: Optional[StoreTuning] = None,
-    **overrides,
-) -> Dict[str, object]:
+def run_bench(smoke: bool = False, **overrides) -> Dict[str, object]:
     """Measure every backend; returns the JSON-safe report."""
     sizes = dict(SMOKE_SIZES if smoke else DEFAULT_SIZES)
     sizes.update({k: v for k, v in overrides.items() if v is not None})
-    results = [
-        _measure_backend(backend, sizes, tuning=tuning)
-        for backend in BACKEND_NAMES
-    ]
-    report: Dict[str, object] = {
+    return {
         "smoke": smoke,
         "parameters": sizes,
-        "results": results,
+        "results": [_measure_backend(backend, sizes) for backend in BACKEND_NAMES],
     }
-    if tuning is not None:
-        report["tuning"] = {
-            "compact_min_dead": tuning.compact_min_dead,
-            "compact_dead_fraction": tuning.compact_dead_fraction,
-        }
-    return report
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -223,24 +178,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--tuples", type=int, default=None)
     parser.add_argument("--lookups", type=int, default=None)
     parser.add_argument("--gc-ticks", dest="gc_ticks", type=int, default=None)
-    parser.add_argument(
-        "--compact-min-dead", dest="compact_min_dead", type=int, default=None
-    )
-    parser.add_argument(
-        "--compact-fraction", dest="compact_fraction", type=float, default=None
-    )
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     args = parser.parse_args(argv)
 
-    tuning = None
-    if args.compact_min_dead is not None or args.compact_fraction is not None:
-        tuning = StoreTuning(
-            compact_min_dead=args.compact_min_dead or 64,
-            compact_dead_fraction=args.compact_fraction or 0.5,
-        )
     report = run_bench(
         smoke=args.smoke,
-        tuning=tuning,
         tuples=args.tuples,
         lookups=args.lookups,
         gc_ticks=args.gc_ticks,
@@ -248,10 +190,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for row in report["results"]:
         rates = row["ops_per_sec"]
         line = ", ".join(f"{name}={rate:,.0f}/s" for name, rate in rates.items())
-        extra = (
-            f" (compactions={row['compactions']})" if "compactions" in row else ""
-        )
-        print(f"{row['backend']:>10s}: {line}{extra}")
+        print(f"{row['backend']:>10s}: {line}")
     if not args.smoke:
         args.output.write_text(json.dumps(report, indent=2, sort_keys=True))
         print(f"wrote {args.output}")

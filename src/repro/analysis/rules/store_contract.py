@@ -7,15 +7,17 @@ contract fails at runtime deep inside a scenario (or worse, silently
 answers differently).  This rule checks, per registered backend class:
 
 * the class inherits :class:`StoreBackend` (directly or through a base in
-  the same module) — inheriting the base class is what makes the
-  documented per-item fallbacks of the batch contract apply,
+  the same module) — inheriting the base class is what supplies the
+  base-class ``add_batch`` / ``match_batch`` loops and the ``flush`` /
+  ``close`` no-ops,
 * every ``@abstractmethod`` of ``StoreBackend`` is implemented in the
   class body (or an in-module base): a missing one would raise
   ``TypeError`` only at instantiation, i.e. mid-experiment,
-* any override of the set-at-a-time contract (``add_batch`` /
-  ``match_batch`` / ``tuples_for_prefixes`` / ``remove_expired``) keeps
-  the base signature's parameter names — callers pass keywords, so a
-  renamed parameter is an API break the type system never sees.
+* any definition of the set-at-a-time calls (``add_batch`` /
+  ``match_batch`` / ``remove_expired``) keeps the base signature's
+  parameter names — callers pass keywords (the engine's GC calls
+  ``remove_expired(published_before=…)``), so a renamed parameter is an
+  API break the type system never sees.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ BACKENDS_FILE = "data/backends.py"
 FACTORY_NAME = "make_store"
 BASE_CLASS = "StoreBackend"
 
-#: The set-at-a-time contract whose base-class fallbacks backends may
-#: inherit; overrides must keep the parameter names.
-BATCH_CONTRACT = ("add_batch", "match_batch", "tuples_for_prefixes", "remove_expired")
+#: The set-at-a-time calls of the contract; a backend's definition must
+#: keep the base signature's parameter names.
+BATCH_CONTRACT = ("add_batch", "match_batch", "remove_expired")
 
 
 def _find_class(sf: SourceFile, name: str) -> Optional[ast.ClassDef]:
@@ -197,7 +199,7 @@ class StoreContractRule(Rule):
                 sf,
                 cls,
                 f"backend {cls.name} does not inherit {BASE_CLASS}: the "
-                "documented per-item batch fallbacks do not apply and the "
+                "base-class add_batch / match_batch do not apply and the "
                 "contract is unenforced",
             )
         for name in abstract:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.data.backends import BACKEND_NAMES, DEFAULT_BACKEND, StoreTuning
+from repro.data.backends import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.errors import ConfigurationError
 from repro.net.runtime import DEFAULT_TRANSPORT, TRANSPORT_NAMES
 from repro.obs.trace import OBSERVABILITY_MODES
@@ -35,7 +35,9 @@ class RJoinConfig:
     bits:
         Width of the identifier space in bits.
     hop_delay:
-        Simulated time units consumed by one routing hop.
+        Simulated time units consumed by one routing hop; must be positive
+        so that a tuple published after a query reaches its nodes strictly
+        later than the query's submission.
     delay_jitter:
         Extra random per-message delay in ``[0, delay_jitter]`` (used to
         exercise the ALTT machinery with out-of-order deliveries).
@@ -44,14 +46,7 @@ class RJoinConfig:
     store_backend:
         Node-local tuple-store backend: ``memory`` (the default dict +
         prefix-index store), ``sqlite`` (table-backed, index scans for
-        prefix match and expiry) or ``append-log`` (append-only log with
-        compaction); see :func:`repro.data.backends.make_store`.
-    append_log_compact_min_dead:
-        Tombstone floor below which the append-log backend never compacts
-        (only meaningful with ``store_backend="append-log"``).
-    append_log_compact_fraction:
-        Dead fraction of the append-log that triggers a compaction rewrite,
-        in ``(0, 1]``; lower values compact more aggressively.
+        prefix match and expiry); see :func:`repro.data.backends.make_store`.
     allow_attribute_level_rewrites:
         Whether rewritten queries may also be indexed at the attribute level
         (candidate family (a) of Section 6).  Attribute-level rewritten
@@ -131,8 +126,6 @@ class RJoinConfig:
     delay_jitter: float = 0.0
     strategy: str = "rjoin"
     store_backend: str = DEFAULT_BACKEND
-    append_log_compact_min_dead: int = 64
-    append_log_compact_fraction: float = 0.5
     allow_attribute_level_rewrites: bool = False
     shared_query_state: bool = True
     altt_delta: Union[str, float, None] = AUTO
@@ -161,16 +154,18 @@ class RJoinConfig:
             )
         if self.bits <= 0 or self.bits > 160:
             raise ConfigurationError("bits must be in (0, 160]")
-        if self.hop_delay < 0 or self.delay_jitter < 0:
-            raise ConfigurationError("delays must be non-negative")
+        # A zero hop delay delivers a tuple published after a query at the
+        # query's own insertion time, where ``pubT(t) >= insT(q)`` also
+        # admits tuples published before the query.
+        if self.hop_delay <= 0:
+            raise ConfigurationError("hop_delay must be positive")
+        if self.delay_jitter < 0:
+            raise ConfigurationError("delay_jitter must be non-negative")
         if self.store_backend not in BACKEND_NAMES:
             known = ", ".join(BACKEND_NAMES)
             raise ConfigurationError(
                 f"unknown store backend {self.store_backend!r}; known: {known}"
             )
-        # Delegates range validation of the compaction knobs to StoreTuning,
-        # so engine- and store-level construction reject the same values.
-        self.store_tuning
         if isinstance(self.altt_delta, str) and self.altt_delta != AUTO:
             raise ConfigurationError(
                 f"altt_delta must be a number, None or {AUTO!r}"
@@ -200,14 +195,6 @@ class RJoinConfig:
                 "trace_path requires observability='on' (nothing would "
                 "ever be written to it otherwise)"
             )
-
-    @property
-    def store_tuning(self) -> StoreTuning:
-        """The backend tuning knobs packaged for the store factory."""
-        return StoreTuning(
-            compact_min_dead=self.append_log_compact_min_dead,
-            compact_dead_fraction=self.append_log_compact_fraction,
-        )
 
     def resolve_altt_delta(self, max_transit_delay: float) -> Optional[float]:
         """Translate the configured Δ into a concrete retention time.

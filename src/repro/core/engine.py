@@ -78,7 +78,7 @@ class RJoinEngine:
         store_backend: Optional[str] = None,
     ) -> None:
         """``store_backend`` overrides ``config.store_backend`` when given
-        (``memory`` / ``sqlite`` / ``append-log``; see
+        (``memory`` / ``sqlite``; see
         :func:`repro.data.backends.make_store`)."""
         self.config = config or RJoinConfig()
         if store_backend is not None:
@@ -132,7 +132,6 @@ class RJoinEngine:
             collect_answer=self._collect_answer,
             altt_delta=altt_delta,
             store_backend=self.config.store_backend,
-            store_tuning=self.config.store_tuning,
             obs=self.obs,
             # Lifecycle callbacks resolve ``self.lifecycle`` / ``self.churn``
             # lazily: the context must exist before either does.

@@ -64,13 +64,7 @@ from repro.core.strategy import (
 )
 from repro.core.windows import admits, expired, extend
 from repro.core.config import RJoinConfig
-from repro.data.backends import (
-    DEFAULT_BACKEND,
-    PREFIX_PROBE,
-    StoreBackend,
-    StoreTuning,
-    make_store,
-)
+from repro.data.backends import DEFAULT_BACKEND, StoreBackend, make_store
 from repro.data.schema import Catalog, RelationSchema
 from repro.data.store import StoredTuple
 from repro.data.tuples import Tuple
@@ -105,9 +99,6 @@ class NodeContext:
     #: Tuple-store backend every node of the engine builds its local store
     #: from (see :func:`repro.data.backends.make_store`).
     store_backend: str = DEFAULT_BACKEND
-    #: Backend tuning knobs (compaction thresholds) forwarded to the store
-    #: factory; ``None`` keeps each backend's defaults.
-    store_tuning: Optional[StoreTuning] = None
     # Query lifecycle services (retraction + owner failover) ---------------
     #: ``(query_id, fallback) -> current owner address``: producers resolve
     #: the live owner at answer-emission time so failover re-registrations
@@ -523,9 +514,7 @@ class RJoinNode:
         # Stored state ----------------------------------------------------
         self.input_queries = QueryTable()
         self.rewritten_queries = QueryTable()
-        self.tuple_store: StoreBackend = make_store(
-            ctx.store_backend, tuning=ctx.store_tuning
-        )
+        self.tuple_store: StoreBackend = make_store(ctx.store_backend)
         self.altt = AttributeLevelTupleTable(delta=ctx.altt_delta)
         # RIC state ---------------------------------------------------------
         self.rates = RateTracker(
@@ -837,12 +826,8 @@ class RJoinNode:
             return self.tuple_store.tuples_for_key(key.text)
         # Attribute-level rewritten query: scan every value-level copy of the
         # relation-attribute pair plus the ALTT, deduplicating publications.
-        # Routed through the set-at-a-time API so disk backends serve it from
-        # their batch/memo path.
         now = self.ctx.clock()
-        (tuples,) = self.tuple_store.match_batch(
-            ((PREFIX_PROBE, key.attribute_prefix),)
-        )
+        (tuples,) = self.tuple_store.match_batch((key.attribute_prefix,))
         if self.ctx.obs is not None:
             self.ctx.obs.record_store_probe(len(tuples))
         seen = {tup.identity for tup in tuples}

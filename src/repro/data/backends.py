@@ -11,32 +11,24 @@ lets the engine swap implementations without touching the protocol layer:
 * ``sqlite`` — a disk-capable structured store
   (:class:`~repro.data.sqlite_store.SqliteTupleStore`) whose prefix matches
   and window expiries are SQL index scans and whose writes are batched into
-  one transaction per network drain,
-* ``append-log`` — an in-memory index over an append-only record log with
-  compaction on garbage collection
-  (:class:`~repro.data.append_log.AppendLogTupleStore`); a cheap middle
-  point between the two.
+  one transaction per network drain.
 
-The contract every backend must honour (the conformance suite in
+The contract is exactly what the engine calls (the conformance suite in
 ``tests/data/test_store_backends.py`` enforces it for all registered
 backends):
 
-* per-key record lists are ordered by publication ``(pub_time, sequence)``
+* per-key results are ordered by publication ``(pub_time, sequence)``
   regardless of insertion order,
 * :meth:`StoreBackend.tuples_for_prefix` deduplicates by tuple identity and
-  returns publication order,
-* the ``remove_*_before`` expiry methods drop *strictly* older records and
-  return the removal count,
+  returns publication order; :meth:`StoreBackend.match_batch` is one such
+  lookup per prefix,
+* :meth:`StoreBackend.remove_expired` drops records *strictly* behind either
+  cutoff and returns the removal count,
 * :meth:`StoreBackend.remove_key` returns the removed records so membership
   re-homing can replay them into another node's backend — of any kind,
 * ``len(store)`` counts stored entries (one per ``(key, identity)`` slot),
-  :meth:`StoreBackend.distinct_tuples` counts distinct publications, and
-  :attr:`StoreBackend.cumulative_stored` survives :meth:`StoreBackend.clear`,
-* the set-at-a-time operations (:meth:`StoreBackend.add_batch`,
-  :meth:`StoreBackend.match_batch` / :meth:`StoreBackend.tuples_for_prefixes`
-  and the ranged :meth:`StoreBackend.remove_expired`) are answer-equivalent
-  to their per-item counterparts — they exist so disk backends can serve a
-  whole drain tick's probes without a per-record Python round trip.
+* :meth:`StoreBackend.flush` makes buffered writes visible and
+  :meth:`StoreBackend.close` releases external resources.
 """
 
 from __future__ import annotations
@@ -46,9 +38,7 @@ import heapq
 from dataclasses import dataclass
 from typing import (
     ClassVar,
-    Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -67,44 +57,11 @@ SEPARATOR = "\x1f"
 
 MEMORY_BACKEND = "memory"
 SQLITE_BACKEND = "sqlite"
-APPEND_LOG_BACKEND = "append-log"
 
 #: Every registered backend name, in documentation order.
-BACKEND_NAMES: TupleT[str, ...] = (
-    MEMORY_BACKEND,
-    SQLITE_BACKEND,
-    APPEND_LOG_BACKEND,
-)
+BACKEND_NAMES: TupleT[str, ...] = (MEMORY_BACKEND, SQLITE_BACKEND)
 
 DEFAULT_BACKEND = MEMORY_BACKEND
-
-#: Probe kinds accepted by :meth:`StoreBackend.match_batch`.
-KEY_PROBE = "key"
-PREFIX_PROBE = "prefix"
-
-
-@dataclass(frozen=True)
-class StoreTuning:
-    """Backend tuning knobs threaded through :func:`make_store`.
-
-    Currently these parameterise the append-log backend's compaction
-    trigger (a rewrite fires once at least ``compact_min_dead`` slots are
-    tombstoned *and* the dead fraction of the log reaches
-    ``compact_dead_fraction``); backends without matching knobs ignore the
-    tuning.  The benchmark harness sweeps these to study the compaction
-    trade-off.
-    """
-
-    compact_min_dead: int = 64
-    compact_dead_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.compact_min_dead < 1:
-            raise ConfigurationError("compact_min_dead must be at least one")
-        if not 0.0 < self.compact_dead_fraction <= 1.0:
-            raise ConfigurationError(
-                "compact_dead_fraction must lie in (0, 1]"
-            )
 
 
 @dataclass
@@ -174,63 +131,41 @@ class StoreBackend(abc.ABC):
     deduplicate through :meth:`tuples_for_prefix`.
     """
 
-    #: Registry name of the backend (``memory`` / ``sqlite`` / ``append-log``).
+    #: Registry name of the backend (``memory`` / ``sqlite``).
     name: ClassVar[str] = "abstract"
 
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
     @abc.abstractmethod
     def add(self, key: str, tup: "Tuple", now: float) -> StoredTuple:
         """Store ``tup`` under ``key`` and return the stored record."""
 
     @abc.abstractmethod
-    def remove_older_than(self, key: str, cutoff: float) -> int:
-        """Drop tuples under ``key`` stored strictly before ``cutoff``."""
-
-    @abc.abstractmethod
-    def remove_published_before(self, cutoff: float) -> int:
-        """Drop every tuple published strictly before ``cutoff``."""
-
-    @abc.abstractmethod
-    def remove_sequenced_before(self, cutoff: float) -> int:
-        """Drop every tuple whose sequence number is strictly below ``cutoff``."""
-
-    @abc.abstractmethod
-    def remove_key(self, key: str) -> List[StoredTuple]:
-        """Remove and return every record stored under ``key`` (re-homing)."""
-
-    @abc.abstractmethod
-    def clear(self) -> None:
-        """Remove every stored tuple (does not reset cumulative counters)."""
-
-    # ------------------------------------------------------------------
-    # lookups
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
     def tuples_for_key(self, key: str) -> List["Tuple"]:
         """The tuples stored under exactly ``key``, in publication order."""
-
-    @abc.abstractmethod
-    def records_for_key(self, key: str) -> List[StoredTuple]:
-        """The stored records under exactly ``key``, in publication order."""
 
     @abc.abstractmethod
     def tuples_for_prefix(self, prefix: str) -> List["Tuple"]:
         """Tuples under any key starting with ``prefix`` (deduplicated, ordered)."""
 
     @abc.abstractmethod
-    def has_key(self, key: str) -> bool:
-        """Return whether any tuple is stored under ``key``."""
+    def remove_expired(
+        self,
+        published_before: Optional[float] = None,
+        sequenced_before: Optional[int] = None,
+    ) -> int:
+        """Drop every record published strictly before ``published_before``
+        or sequenced strictly below ``sequenced_before``; returns the count."""
 
-    # ------------------------------------------------------------------
-    # set-at-a-time operations
-    # ------------------------------------------------------------------
-    # Every batch method has a per-item default so the contract stays
-    # backward-compatible: a backend only overrides what it can genuinely
-    # serve set-at-a-time (the sqlite backend answers a whole probe batch
-    # with one SQL statement; the append-log backend merges sorted position
-    # lists and batches tombstone writes).
+    @abc.abstractmethod
+    def remove_key(self, key: str) -> List[StoredTuple]:
+        """Remove and return every record stored under ``key`` (re-homing)."""
+
+    @abc.abstractmethod
+    def keys(self) -> Iterable[str]:
+        """The indexing keys that currently hold tuples."""
+
+    @abc.abstractmethod
+    def __len__(self) -> int:
+        """Number of currently stored entries (across all keys)."""
 
     def add_batch(
         self, entries: Iterable[TupleT[str, "Tuple", float]]
@@ -238,82 +173,10 @@ class StoreBackend(abc.ABC):
         """Store ``(key, tuple, now)`` entries; returns the stored records."""
         return [self.add(key, tup, now) for key, tup, now in entries]
 
-    def match_batch(
-        self, probes: Sequence[TupleT[str, str]]
-    ) -> List[List["Tuple"]]:
-        """Serve a batch of probes, one result list per probe (in order).
+    def match_batch(self, prefixes: Sequence[str]) -> List[List["Tuple"]]:
+        """:meth:`tuples_for_prefix` of each prefix, in order."""
+        return [self.tuples_for_prefix(prefix) for prefix in prefixes]
 
-        Each probe is ``(kind, text)`` with kind :data:`KEY_PROBE` (exact
-        key, publication order, no dedup — same as :meth:`tuples_for_key`)
-        or :data:`PREFIX_PROBE` (same as :meth:`tuples_for_prefix`:
-        identity-deduplicated, publication order).
-        """
-        results: List[List["Tuple"]] = []
-        for kind, text in probes:
-            if kind == KEY_PROBE:
-                results.append(self.tuples_for_key(text))
-            elif kind == PREFIX_PROBE:
-                results.append(self.tuples_for_prefix(text))
-            else:
-                raise ConfigurationError(
-                    f"unknown probe kind {kind!r}; expected "
-                    f"{KEY_PROBE!r} or {PREFIX_PROBE!r}"
-                )
-        return results
-
-    def tuples_for_prefixes(
-        self, prefixes: Sequence[str]
-    ) -> Dict[str, List["Tuple"]]:
-        """Resolve several prefixes at once: ``prefix -> matching tuples``."""
-        texts = list(prefixes)
-        matched = self.match_batch([(PREFIX_PROBE, text) for text in texts])
-        return dict(zip(texts, matched))
-
-    def remove_expired(
-        self,
-        published_before: Optional[float] = None,
-        sequenced_before: Optional[int] = None,
-    ) -> int:
-        """Ranged GC: drop records behind either cutoff in one sweep.
-
-        The union of :meth:`remove_published_before` and
-        :meth:`remove_sequenced_before` (both strict); disk backends turn
-        the combined predicate into a single ranged ``DELETE``.
-        """
-        removed = 0
-        if published_before is not None:
-            removed += self.remove_published_before(published_before)
-        if sequenced_before is not None:
-            removed += self.remove_sequenced_before(sequenced_before)
-        return removed
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def __len__(self) -> int:
-        """Number of currently stored entries (across all keys)."""
-
-    @property
-    @abc.abstractmethod
-    def cumulative_stored(self) -> int:
-        """Total number of store operations over the node's lifetime."""
-
-    @abc.abstractmethod
-    def keys(self) -> Iterable[str]:
-        """Iterate over the indexing keys that currently hold tuples."""
-
-    @abc.abstractmethod
-    def __iter__(self) -> Iterator[StoredTuple]:
-        """Iterate over every stored record."""
-
-    @abc.abstractmethod
-    def distinct_tuples(self) -> int:
-        """Number of distinct publications currently stored at this node."""
-
-    # ------------------------------------------------------------------
-    # lifecycle (optional)
-    # ------------------------------------------------------------------
     def flush(self) -> None:
         """Make buffered writes visible (no-op for unbuffered backends)."""
 
@@ -321,15 +184,11 @@ class StoreBackend(abc.ABC):
         """Release external resources held by the backend (no-op default)."""
 
 
-def make_store(
-    backend: str = DEFAULT_BACKEND, tuning: Optional[StoreTuning] = None
-) -> StoreBackend:
+def make_store(backend: str = DEFAULT_BACKEND) -> StoreBackend:
     """Build a fresh store of the requested backend kind.
 
     Implementations are imported lazily so that selecting ``memory`` never
-    pays for the alternatives (and so this module stays import-cycle free).
-    ``tuning`` carries backend knobs (see :class:`StoreTuning`); backends
-    without matching knobs ignore it.
+    pays for ``sqlite3`` (and so this module stays import-cycle free).
     """
     if backend == MEMORY_BACKEND:
         from repro.data.store import TupleStore
@@ -339,15 +198,6 @@ def make_store(
         from repro.data.sqlite_store import SqliteTupleStore
 
         return SqliteTupleStore()
-    if backend == APPEND_LOG_BACKEND:
-        from repro.data.append_log import AppendLogTupleStore
-
-        if tuning is not None:
-            return AppendLogTupleStore(
-                compact_min_dead=tuning.compact_min_dead,
-                compact_dead_fraction=tuning.compact_dead_fraction,
-            )
-        return AppendLogTupleStore()
     known = ", ".join(BACKEND_NAMES)
     raise ConfigurationError(
         f"unknown store backend {backend!r}; known backends: {known}"

@@ -11,7 +11,7 @@ maintains aggregate counters that feed the storage-load metric of the
 experimental section: the *storage load* of a node is the number of rewritten
 queries plus the number of tuples that the node has to store locally.
 
-:class:`TupleStore` is one of several implementations of the
+:class:`TupleStore` is one of the two implementations of the
 :class:`~repro.data.backends.StoreBackend` contract (see
 :func:`repro.data.backends.make_store` for the registry).  Three auxiliary
 structures keep the hot paths off O(total-keys) scans:
@@ -22,8 +22,7 @@ structures keep the hot paths off O(total-keys) scans:
 * per-key record lists kept ordered by ``(pub_time, sequence)`` so callers
   consume tuples in publication order without re-sorting,
 * min-heaps over publication time and sequence number so window garbage
-  collection (:meth:`TupleStore.remove_published_before`,
-  :meth:`TupleStore.remove_sequenced_before`) costs O(expired · log n)
+  collection (:meth:`TupleStore.remove_expired`) costs O(expired · log n)
   instead of a full re-scan of every stored record.
 """
 
@@ -32,10 +31,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import insort
-from typing import Dict, Iterable, Iterator, List, Set, Tuple as TupleT
+from typing import Dict, Iterable, List, Optional, Set, Tuple as TupleT
 
 from repro.data.backends import (
-    SEPARATOR as _SEPARATOR,  # noqa: F401  (re-exported for compatibility)
     StoreBackend,
     StoredTuple,
     bucket_of as _bucket_of,
@@ -62,15 +60,12 @@ class TupleStore(StoreBackend):
     def __init__(self) -> None:
         self._by_key: Dict[str, List[StoredTuple]] = {}
         self._keys_by_prefix: Dict[str, Set[str]] = {}
-        self._unprefixed_keys: Set[str] = set()
         # Memoised tuples_for_prefix results per canonical bucket, dropped
         # whenever any key of the bucket is touched.
         self._prefix_cache: Dict[str, List[Tuple]] = {}
-        self._stored_total = 0  # cumulative number of store operations
         self._size = 0
-        self._identity_counts: Dict[TupleT[str, int], int] = {}
         # Lazy expiry queues: (clock value, tiebreak, key).  Each heap is
-        # first materialised when the matching removal method is called, and
+        # first materialised when the matching expiry cutoff is used, and
         # maintained incrementally from then on.  Entries are not removed
         # when records leave through other paths; stale entries pop
         # harmlessly because removal re-checks the affected key.
@@ -92,18 +87,13 @@ class TupleStore(StoreBackend):
         records = self._by_key.get(key)
         if records is None:
             self._by_key[key] = [record]
-            if bucket is None:
-                self._unprefixed_keys.add(key)
-            else:
+            if bucket is not None:
                 self._keys_by_prefix.setdefault(bucket, set()).add(key)
         elif _record_order(record) >= _record_order(records[-1]):
             records.append(record)
         else:
             insort(records, record, key=_record_order)
-        self._stored_total += 1
         self._size += 1
-        identity = tup.identity
-        self._identity_counts[identity] = self._identity_counts.get(identity, 0) + 1
         if self._track_time:
             heapq.heappush(
                 self._time_heap, (tup.pub_time, next(self._tiebreak), key)
@@ -113,16 +103,6 @@ class TupleStore(StoreBackend):
                 self._seq_heap, (tup.sequence, next(self._tiebreak), key)
             )
         return record
-
-    def _forget(self, record: StoredTuple) -> None:
-        """Release the aggregate counters held by ``record``."""
-        self._size -= 1
-        identity = record.tuple.identity
-        count = self._identity_counts[identity] - 1
-        if count:
-            self._identity_counts[identity] = count
-        else:
-            del self._identity_counts[identity]
 
     def _invalidate_prefix(self, key: str) -> None:
         """Drop the memoised prefix lookup covering ``key``."""
@@ -136,38 +116,12 @@ class TupleStore(StoreBackend):
         """Remove an emptied key from the dictionary and the prefix index."""
         del self._by_key[key]
         bucket = _bucket_of(key)
-        if bucket is None:
-            self._unprefixed_keys.discard(key)
-        else:
+        if bucket is not None:
             keys = self._keys_by_prefix.get(bucket)
             if keys is not None:
                 keys.discard(key)
                 if not keys:
                     del self._keys_by_prefix[bucket]
-
-    def remove_older_than(self, key: str, cutoff: float) -> int:
-        """Drop tuples under ``key`` stored strictly before ``cutoff``.
-
-        Returns the number of removed entries.  Used by window-based state
-        reduction and by tests; expiry sweeps over the whole store should use
-        :meth:`remove_published_before` / :meth:`remove_sequenced_before`.
-        """
-        records = self._by_key.get(key)
-        if not records:
-            return 0
-        kept = [r for r in records if r.stored_at >= cutoff]
-        removed = len(records) - len(kept)
-        if not removed:
-            return 0
-        for record in records:
-            if record.stored_at < cutoff:
-                self._forget(record)
-        self._invalidate_prefix(key)
-        if kept:
-            self._by_key[key] = kept
-        else:
-            self._drop_key(key)
-        return removed
 
     def _expired_keys(self, heap: List, cutoff: float) -> Set[str]:
         """Pop heap entries below ``cutoff``; return the touched keys."""
@@ -183,7 +137,9 @@ class TupleStore(StoreBackend):
         self._track_time = True
         tiebreak = self._tiebreak
         self._time_heap = [
-            (record.tuple.pub_time, next(tiebreak), record.key) for record in self
+            (record.tuple.pub_time, next(tiebreak), key)
+            for key, records in self._by_key.items()
+            for record in records
         ]
         heapq.heapify(self._time_heap)
 
@@ -194,11 +150,29 @@ class TupleStore(StoreBackend):
         self._track_seq = True
         tiebreak = self._tiebreak
         self._seq_heap = [
-            (record.tuple.sequence, next(tiebreak), record.key) for record in self
+            (record.tuple.sequence, next(tiebreak), key)
+            for key, records in self._by_key.items()
+            for record in records
         ]
         heapq.heapify(self._seq_heap)
 
-    def remove_published_before(self, cutoff: float) -> int:
+    def remove_expired(
+        self,
+        published_before: Optional[float] = None,
+        sequenced_before: Optional[int] = None,
+    ) -> int:
+        """Drop records published before / sequenced below either cutoff.
+
+        Both cutoffs are strict; returns the number of removed entries.
+        """
+        removed = 0
+        if published_before is not None:
+            removed += self._remove_published_before(published_before)
+        if sequenced_before is not None:
+            removed += self._remove_sequenced_before(sequenced_before)
+        return removed
+
+    def _remove_published_before(self, cutoff: float) -> int:
         """Drop every tuple whose publication time is strictly before ``cutoff``.
 
         Runs in O(expired · log n): the expiry heap names the keys holding
@@ -215,7 +189,6 @@ class TupleStore(StoreBackend):
             index = 0
             length = len(records)
             while index < length and records[index].tuple.pub_time < cutoff:
-                self._forget(records[index])
                 index += 1
             if index == 0:
                 continue
@@ -225,12 +198,12 @@ class TupleStore(StoreBackend):
                 self._drop_key(key)
             else:
                 del records[:index]
+        self._size -= removed
         return removed
 
-    def remove_sequenced_before(self, cutoff: float) -> int:
+    def _remove_sequenced_before(self, cutoff: float) -> int:
         """Drop every tuple whose sequence number is strictly below ``cutoff``.
 
-        The tuple-based window analogue of :meth:`remove_published_before`.
         Sequence numbers need not follow publication order within a key, so
         affected keys are re-filtered rather than prefix-cut.
         """
@@ -244,15 +217,13 @@ class TupleStore(StoreBackend):
             dropped = len(records) - len(kept)
             if not dropped:
                 continue
-            for record in records:
-                if record.tuple.sequence < cutoff:
-                    self._forget(record)
             removed += dropped
             self._invalidate_prefix(key)
             if kept:
                 self._by_key[key] = kept
             else:
                 self._drop_key(key)
+        self._size -= removed
         return removed
 
     def remove_key(self, key: str) -> List[StoredTuple]:
@@ -260,22 +231,10 @@ class TupleStore(StoreBackend):
         records = self._by_key.get(key)
         if not records:
             return []
-        for record in records:
-            self._forget(record)
+        self._size -= len(records)
         self._invalidate_prefix(key)
         self._drop_key(key)
         return records
-
-    def clear(self) -> None:
-        """Remove every stored tuple (does not reset cumulative counters)."""
-        self._by_key.clear()
-        self._keys_by_prefix.clear()
-        self._unprefixed_keys.clear()
-        self._prefix_cache.clear()
-        self._identity_counts.clear()
-        self._time_heap.clear()
-        self._seq_heap.clear()
-        self._size = 0
 
     # ------------------------------------------------------------------
     # lookups
@@ -283,10 +242,6 @@ class TupleStore(StoreBackend):
     def tuples_for_key(self, key: str) -> List[Tuple]:
         """The tuples stored under exactly ``key``, in publication order."""
         return [r.tuple for r in self._by_key.get(key, [])]
-
-    def records_for_key(self, key: str) -> List[StoredTuple]:
-        """The stored records under exactly ``key``, in publication order."""
-        return list(self._by_key.get(key, []))
 
     def tuples_for_prefix(self, prefix: str) -> List[Tuple]:
         """Return tuples stored under any key starting with ``prefix``.
@@ -321,10 +276,6 @@ class TupleStore(StoreBackend):
             return []
         return merge_records(lists)
 
-    def has_key(self, key: str) -> bool:
-        """Return whether any tuple is stored under ``key``."""
-        return key in self._by_key
-
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
@@ -332,19 +283,6 @@ class TupleStore(StoreBackend):
         """Number of currently stored entries (across all keys); O(1)."""
         return self._size
 
-    @property
-    def cumulative_stored(self) -> int:
-        """Total number of store operations performed over the node's lifetime."""
-        return self._stored_total
-
     def keys(self) -> Iterable[str]:
         """Iterate over the indexing keys that currently hold tuples."""
         return self._by_key.keys()
-
-    def __iter__(self) -> Iterator[StoredTuple]:
-        for records in self._by_key.values():
-            yield from records
-
-    def distinct_tuples(self) -> int:
-        """Number of distinct publications currently stored at this node; O(1)."""
-        return len(self._identity_counts)

@@ -175,14 +175,9 @@ class ExperimentConfig:
     #: shared record with a subscriber list (the million-query matching
     #: optimisation) — disable to measure the per-query-private baseline.
     shared_query_state: bool = True
-    #: Node-local tuple-store backend (``memory`` / ``sqlite`` /
-    #: ``append-log``) — the axis of the ``store-backends`` scenario.
+    #: Node-local tuple-store backend (``memory`` / ``sqlite``) — the axis
+    #: of the ``store-backends`` scenario.
     store_backend: str = DEFAULT_BACKEND
-    #: Append-log compaction knobs (tombstone floor and dead fraction),
-    #: sweepable by the store-backends benchmark; only meaningful with
-    #: ``store_backend="append-log"``.
-    append_log_compact_min_dead: int = 64
-    append_log_compact_fraction: float = 0.5
     # Workload ---------------------------------------------------------------
     num_queries: int = 500
     num_tuples: int = 100
@@ -252,8 +247,10 @@ class ExperimentConfig:
             )
         if not 0.0 <= self.hot_key_fraction <= 1.0:
             raise ExperimentError("hot_key_fraction must lie in [0, 1]")
-        if self.hop_delay < 0 or self.delay_jitter < 0:
-            raise ExperimentError("hop_delay and delay_jitter must be non-negative")
+        if self.hop_delay <= 0:
+            raise ExperimentError("hop_delay must be positive")
+        if self.delay_jitter < 0:
+            raise ExperimentError("delay_jitter must be non-negative")
         if self.churn is not None and not isinstance(self.churn, ChurnSpec):
             raise ExperimentError("churn must be a ChurnSpec (or None)")
         if self.query_churn is not None and not isinstance(
@@ -266,14 +263,6 @@ class ExperimentConfig:
             known = ", ".join(BACKEND_NAMES)
             raise ExperimentError(
                 f"unknown store backend {self.store_backend!r}; known: {known}"
-            )
-        if self.append_log_compact_min_dead < 1:
-            raise ExperimentError(
-                "append_log_compact_min_dead must be at least 1"
-            )
-        if not 0.0 < self.append_log_compact_fraction <= 1.0:
-            raise ExperimentError(
-                "append_log_compact_fraction must lie in (0, 1]"
             )
         for checkpoint in self.checkpoints:
             if checkpoint <= 0 or checkpoint > self.num_tuples:

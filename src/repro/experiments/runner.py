@@ -139,8 +139,6 @@ def build_engine(config: ExperimentConfig) -> RJoinEngine:
         runtime=config.runtime,
         strategy=config.strategy,
         store_backend=config.store_backend,
-        append_log_compact_min_dead=config.append_log_compact_min_dead,
-        append_log_compact_fraction=config.append_log_compact_fraction,
         seed=config.seed,
         owner_failover=config.owner_failover,
         shared_query_state=config.shared_query_state,
@@ -340,6 +338,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
     # Release the runtime (actor tasks, event loop, store handles): on the
     # asyncio transport a garbage-collected loop would warn about pending
-    # actor tasks, and sqlite/append-log stores hold real file handles.
+    # actor tasks, and sqlite stores hold real database handles.
     engine.close()
     return result

@@ -572,7 +572,7 @@ register(
         name="store-backends",
         description=(
             "window-churn-style GC pressure replayed across the pluggable "
-            "tuple-store backends (memory / sqlite / append-log): same "
+            "tuple-store backends (memory / sqlite): same "
             "workload, same sliding window, different storage engines — "
             "answers must be identical, storage and wall-clock differ."
         ),

@@ -9,6 +9,10 @@ membership events,
 * state totals are conserved under graceful changes (join, leave, id
   movement) and accounted as lost under crashes,
 * answer sets under graceful churn match the centralised reference engine.
+
+Re-homing moves stored tuples through the store contract (``keys`` and
+``remove_key`` on the old owner, ``add`` on the new one), so the
+strategy-parametrized cases run over every registered store backend.
 """
 
 import pytest
@@ -18,6 +22,7 @@ from repro.core.engine import RJoinEngine
 from repro.core.membership import estimate_item_bytes
 from repro.core.node import RehomedItem
 from repro.core.reference import ReferenceEngine
+from repro.data.backends import BACKEND_NAMES
 from repro.errors import DuplicateNodeError, EngineError
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 
@@ -68,8 +73,9 @@ def total_items(engine):
 
 class TestJoin:
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_join_rehomes_state_and_conserves_totals(self, strategy):
-        _, engine = build(strategy=strategy)
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_join_rehomes_state_and_conserves_totals(self, strategy, backend):
+        _, engine = build(strategy=strategy, store_backend=backend)
         before = total_items(engine)
         ring_before = len(engine.ring)
         for _ in range(4):
@@ -105,8 +111,9 @@ class TestJoin:
 
 class TestGracefulLeave:
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_leave_hands_off_all_state(self, strategy):
-        _, engine = build(strategy=strategy)
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_leave_hands_off_all_state(self, strategy, backend):
+        _, engine = build(strategy=strategy, store_backend=backend)
         before = total_items(engine)
         victim = max(
             engine.nodes.values(),
@@ -143,8 +150,9 @@ class TestGracefulLeave:
 
 class TestCrash:
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_crash_loses_state_and_accounts_it(self, strategy):
-        _, engine = build(strategy=strategy)
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_crash_loses_state_and_accounts_it(self, strategy, backend):
+        _, engine = build(strategy=strategy, store_backend=backend)
         before = total_items(engine)
         engine.crash_node()
         assert_ownership(engine)
@@ -203,9 +211,13 @@ class TestCrash:
 
 class TestIdMovementPath:
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_rebalance_rehomes_every_state_kind(self, strategy):
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_rebalance_rehomes_every_state_kind(self, strategy, backend):
         _, engine = build(
-            strategy=strategy, id_movement=True, rebalance_every_tuples=10_000
+            strategy=strategy,
+            store_backend=backend,
+            id_movement=True,
+            rebalance_every_tuples=10_000,
         )
         before = total_items(engine)
         engine.rebalance()
@@ -216,9 +228,13 @@ class TestIdMovementPath:
 
 class TestMixedSequences:
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_interleaved_events_keep_invariants(self, strategy):
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_interleaved_events_keep_invariants(self, strategy, backend):
         generator, engine = build(
-            strategy=strategy, id_movement=True, rebalance_every_tuples=10_000
+            strategy=strategy,
+            store_backend=backend,
+            id_movement=True,
+            rebalance_every_tuples=10_000,
         )
         before = total_items(engine)
         engine.add_node()
@@ -234,7 +250,8 @@ class TestMixedSequences:
         assert_ownership(engine)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_answers_under_graceful_churn_match_reference(self, strategy):
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_answers_under_graceful_churn_match_reference(self, strategy, backend):
         spec = WorkloadSpec(
             num_relations=4,
             attributes_per_relation=3,
@@ -243,7 +260,10 @@ class TestMixedSequences:
             seed=21,
         )
         generator = WorkloadGenerator(spec)
-        engine = RJoinEngine(RJoinConfig(num_nodes=16, seed=21, strategy=strategy))
+        engine = RJoinEngine(RJoinConfig(
+                num_nodes=16, seed=21, strategy=strategy, store_backend=backend
+            )
+        )
         engine.register_catalog(generator.catalog)
         reference = ReferenceEngine(generator.catalog)
         handles = []

@@ -234,19 +234,22 @@ def test_store_heap_expiry_matches_filter_semantics(ops):
             cutoff = float(clock)
             expected = sum(1 for _, t in shadow if t.pub_time < cutoff)
             shadow = [(k, t) for k, t in shadow if t.pub_time >= cutoff]
-            assert store.remove_published_before(cutoff) == expected
+            assert store.remove_expired(published_before=cutoff) == expected
         elif op == "gc_seq":
             cutoff = value * 4
             expected = sum(1 for _, t in shadow if t.sequence < cutoff)
             shadow = [(k, t) for k, t in shadow if t.sequence >= cutoff]
-            assert store.remove_sequenced_before(cutoff) == expected
+            assert store.remove_expired(sequenced_before=cutoff) == expected
         else:
             prefix = "R\x1fa\x1f"
             got = {t.identity for t in store.tuples_for_prefix(prefix)}
             expected_ids = {t.identity for _, t in shadow}
             assert got == expected_ids
         assert len(store) == len(shadow)
-        assert store.distinct_tuples() == len({t.identity for _, t in shadow})
+        stored_ids = {
+            t.identity for key in store.keys() for t in store.tuples_for_key(key)
+        }
+        assert stored_ids == {t.identity for _, t in shadow}
 
 
 @given(

@@ -24,15 +24,13 @@ class TestTupleStore:
         assert store.tuples_for_key("R.a=1") == [tup]
         assert store.tuples_for_key("other") == []
 
-    def test_len_and_cumulative(self, schema):
+    def test_len_counts_stored_entries(self, schema):
         store = TupleStore()
         for seq in range(5):
             store.add("k", make_tuple(schema, (seq, seq), seq), now=float(seq))
         assert len(store) == 5
-        assert store.cumulative_stored == 5
-        store.clear()
+        store.remove_key("k")
         assert len(store) == 0
-        assert store.cumulative_stored == 5  # cumulative survives clears
 
     def test_same_tuple_under_two_keys_costs_two_slots(self, schema):
         store = TupleStore()
@@ -40,7 +38,7 @@ class TestTupleStore:
         store.add("k1", tup, now=0.0)
         store.add("k2", tup, now=0.0)
         assert len(store) == 2
-        assert store.distinct_tuples() == 1
+        assert store.tuples_for_key("k1") == store.tuples_for_key("k2") == [tup]
 
     def test_prefix_lookup_deduplicates(self, schema):
         store = TupleStore()
@@ -51,36 +49,25 @@ class TestTupleStore:
         result = store.tuples_for_prefix("R\x1fa\x1f")
         assert len(result) == 2
 
-    def test_remove_older_than(self, schema):
-        store = TupleStore()
-        store.add("k", make_tuple(schema, (1, 1), 1), now=0.0)
-        store.add("k", make_tuple(schema, (2, 2), 2), now=5.0)
-        removed = store.remove_older_than("k", cutoff=3.0)
-        assert removed == 1
-        assert len(store.tuples_for_key("k")) == 1
-
-    def test_remove_older_than_missing_key(self, schema):
-        store = TupleStore()
-        assert store.remove_older_than("nope", 1.0) == 0
-
     def test_remove_published_before(self, schema):
         store = TupleStore()
         store.add("k", make_tuple(schema, (1, 1), 1, pub_time=1.0), now=0.0)
         store.add("k", make_tuple(schema, (2, 2), 2, pub_time=9.0), now=0.0)
-        assert store.remove_published_before(5.0) == 1
-        assert store.has_key("k")
+        assert store.remove_expired(published_before=5.0) == 1
+        assert list(store.keys()) == ["k"]
 
-    def test_keys_and_iteration(self, schema):
+    def test_keys_lists_occupied_keys(self, schema):
         store = TupleStore()
         store.add("k1", make_tuple(schema, (1, 1), 1), now=0.0)
         store.add("k2", make_tuple(schema, (2, 2), 2), now=0.0)
         assert set(store.keys()) == {"k1", "k2"}
-        assert len(list(store)) == 2
+        store.remove_key("k1")
+        assert set(store.keys()) == {"k2"}
 
     def test_records_expose_metadata(self, schema):
         store = TupleStore()
         store.add("k", make_tuple(schema, (1, 1), 7), now=3.5)
-        record = store.records_for_key("k")[0]
+        (record,) = store.remove_key("k")
         assert record.stored_at == 3.5
         assert record.identity == ("R", 7)
         assert record.key == "k"
@@ -98,15 +85,11 @@ class NaiveStore:
     def add(self, key, tup, now):
         self.by_key.setdefault(key, []).append((tup, now))
 
-    def remove_older_than(self, key, cutoff):
-        records = self.by_key.get(key, [])
-        kept = [(t, s) for t, s in records if s >= cutoff]
-        removed = len(records) - len(kept)
-        if kept:
-            self.by_key[key] = kept
-        elif key in self.by_key:
-            del self.by_key[key]
-        return removed
+    def remove_key(self, key):
+        return sorted(
+            (t for t, _ in self.by_key.pop(key, [])),
+            key=lambda t: (t.pub_time, t.sequence),
+        )
 
     def remove_published_before(self, cutoff):
         removed = 0
@@ -152,13 +135,10 @@ class NaiveStore:
     def __len__(self):
         return sum(len(records) for records in self.by_key.values())
 
-    def distinct_tuples(self):
-        return len({t.identity for records in self.by_key.values() for t, _ in records})
-
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
 def test_indexed_store_matches_naive_scan_on_random_workload(schema, seed):
-    """Prefix index, heap expiry and counters agree with the scan oracle."""
+    """Prefix index, heap expiry and the size counter agree with the scan oracle."""
     import random
 
     rng = random.Random(seed)
@@ -183,23 +163,21 @@ def test_indexed_store_matches_naive_scan_on_random_workload(schema, seed):
             naive.add(key, tup, now=clock)
         elif op < 0.7:
             cutoff = clock - rng.uniform(0.0, 20.0)
-            assert store.remove_published_before(cutoff) == \
+            assert store.remove_expired(published_before=cutoff) == \
                 naive.remove_published_before(cutoff)
         elif op < 0.8:
             cutoff = step - rng.randint(0, 50)
-            assert store.remove_sequenced_before(cutoff) == \
+            assert store.remove_expired(sequenced_before=cutoff) == \
                 naive.remove_sequenced_before(cutoff)
         elif op < 0.9:
             key = rng.choice(sorted(store.keys())) if len(store) else "none"
-            cutoff = clock - rng.uniform(0.0, 10.0)
-            assert store.remove_older_than(key, cutoff) == \
-                naive.remove_older_than(key, cutoff)
+            removed = [record.tuple for record in store.remove_key(key)]
+            assert removed == naive.remove_key(key)
         else:
             prefix = f"{rng.choice(relations)}\x1f{rng.choice(attributes)}\x1f"
             assert store.tuples_for_prefix(prefix) == naive.tuples_for_prefix(prefix)
         # Aggregates stay in lock-step after every operation.
         assert len(store) == len(naive)
-        assert store.distinct_tuples() == naive.distinct_tuples()
         assert sorted(store.keys()) == sorted(naive.by_key.keys())
     for key in sorted(naive.by_key):
         assert store.tuples_for_key(key) == naive.tuples_for_key(key)
@@ -221,7 +199,7 @@ def test_prefix_cache_invalidated_by_mutations(schema):
     assert len(store.tuples_for_prefix(prefix)) == 1
     store.add(prefix + "2", make_tuple(schema, (2, 2), 2, pub_time=2.0), now=2.0)
     assert len(store.tuples_for_prefix(prefix)) == 2
-    store.remove_published_before(1.5)
+    store.remove_expired(published_before=1.5)
     assert [t.sequence for t in store.tuples_for_prefix(prefix)] == [2]
     store.remove_key(prefix + "2")
     assert store.tuples_for_prefix(prefix) == []

@@ -2,13 +2,18 @@
 
 Every implementation of :class:`repro.data.backends.StoreBackend` must obey
 the same contract — publication ordering, strict expiry cutoffs, prefix
-matching with identity deduplication, re-homing round-trips and counter
+matching with identity deduplication, re-homing round-trips and size
 consistency — so the whole suite is parametrized over the registry.  A new
 backend only has to register in :func:`repro.data.backends.make_store` to be
-held to the same invariants.
+held to the same invariants.  The suite also runs against an on-disk SQLite
+database (``sqlite-file``), the one configuration the registry does not
+build: the same contract must hold whether the table lives in memory or in a
+file.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -16,12 +21,22 @@ from repro.data.backends import (
     BACKEND_NAMES,
     SEPARATOR,
     StoreBackend,
-    StoreTuning,
     make_store,
 )
 from repro.data.schema import RelationSchema
+from repro.data.sqlite_store import SqliteTupleStore
 from repro.data.tuples import Tuple
 from repro.errors import ConfigurationError
+
+#: Every registered backend plus a file-backed SQLite database.
+STORE_KINDS = BACKEND_NAMES + ("sqlite-file",)
+
+
+def open_store(kind: str, path) -> StoreBackend:
+    """Build a store of ``kind``; a ``sqlite-file`` database lives at ``path``."""
+    if kind == "sqlite-file":
+        return SqliteTupleStore(str(path))
+    return make_store(kind)
 
 
 @pytest.fixture
@@ -29,9 +44,9 @@ def schema():
     return RelationSchema("R", ["a", "b"])
 
 
-@pytest.fixture(params=BACKEND_NAMES)
-def store(request):
-    backend = make_store(request.param)
+@pytest.fixture(params=STORE_KINDS)
+def store(request, tmp_path):
+    backend = open_store(request.param, tmp_path / "source.db")
     yield backend
     backend.close()
 
@@ -69,8 +84,7 @@ class TestConformance:
         assert record.key == "k"
         assert store.tuples_for_key("k") == [tup]
         assert store.tuples_for_key("missing") == []
-        assert store.has_key("k")
-        assert not store.has_key("missing")
+        assert list(store.keys()) == ["k"]
 
     def test_publication_ordering_despite_insertion_order(self, store, schema):
         late = make_tuple(schema, (1, 1), 3, pub_time=5.0)
@@ -79,7 +93,7 @@ class TestConformance:
         for tup in (late, early, middle):
             store.add("k", tup, now=0.0)
         assert [t.sequence for t in store.tuples_for_key("k")] == [1, 2, 3]
-        assert [r.tuple.sequence for r in store.records_for_key("k")] == [1, 2, 3]
+        assert [r.tuple.sequence for r in store.remove_key("k")] == [1, 2, 3]
 
     def test_prefix_match_dedups_and_orders(self, store, schema):
         shared = make_tuple(schema, (1, 2), 1, pub_time=2.0)
@@ -103,19 +117,19 @@ class TestConformance:
         store.add("k", make_tuple(schema, (1, 1), 1, pub_time=1.0), now=0.0)
         store.add("k", make_tuple(schema, (2, 2), 2, pub_time=2.0), now=0.0)
         store.add("j", make_tuple(schema, (3, 3), 3, pub_time=3.0), now=0.0)
-        assert store.remove_published_before(2.0) == 1
+        assert store.remove_expired(published_before=2.0) == 1
         assert [t.sequence for t in store.tuples_for_key("k")] == [2]
         assert len(store) == 2
-        assert store.remove_published_before(2.0) == 0
+        assert store.remove_expired(published_before=2.0) == 0
 
     def test_remove_sequenced_before_is_strict(self, store, schema):
         # Sequence order deliberately disagrees with publication order.
         store.add("k", make_tuple(schema, (1, 1), 5, pub_time=1.0), now=0.0)
         store.add("k", make_tuple(schema, (2, 2), 2, pub_time=2.0), now=0.0)
         store.add("j", make_tuple(schema, (3, 3), 9, pub_time=0.5), now=0.0)
-        assert store.remove_sequenced_before(5) == 1
+        assert store.remove_expired(sequenced_before=5) == 1
         assert sorted(t.sequence for t in store.tuples_for_key("k")) == [5]
-        assert store.remove_sequenced_before(5) == 0
+        assert store.remove_expired(sequenced_before=5) == 0
         assert len(store) == 2
 
     def test_expiry_interleaved_with_new_writes(self, store, schema):
@@ -123,18 +137,11 @@ class TestConformance:
             store.add(
                 "k", make_tuple(schema, (seq, seq), seq, pub_time=float(seq)), now=0.0
             )
-        assert store.remove_published_before(3.0) == 2
+        assert store.remove_expired(published_before=3.0) == 2
         # Writes after a GC tick must be seen by the next tick.
         store.add("k", make_tuple(schema, (9, 9), 9, pub_time=3.5), now=0.0)
-        assert store.remove_published_before(4.0) == 2  # pub 3.0 and 3.5
+        assert store.remove_expired(published_before=4.0) == 2  # pub 3.0 and 3.5
         assert [t.sequence for t in store.tuples_for_key("k")] == [4, 5]
-
-    def test_remove_older_than_uses_stored_at(self, store, schema):
-        store.add("k", make_tuple(schema, (1, 1), 1), now=0.0)
-        store.add("k", make_tuple(schema, (2, 2), 2), now=5.0)
-        assert store.remove_older_than("k", cutoff=5.0) == 1
-        assert [t.sequence for t in store.tuples_for_key("k")] == [2]
-        assert store.remove_older_than("missing", cutoff=5.0) == 0
 
     def test_remove_key_returns_records_in_publication_order(self, store, schema):
         store.add("k", make_tuple(schema, (2, 2), 2, pub_time=2.0), now=0.5)
@@ -142,13 +149,13 @@ class TestConformance:
         removed = store.remove_key("k")
         assert [r.tuple.sequence for r in removed] == [1, 2]
         assert [r.stored_at for r in removed] == [0.25, 0.5]
-        assert not store.has_key("k")
+        assert list(store.keys()) == []
         assert len(store) == 0
         assert store.remove_key("k") == []
 
-    @pytest.mark.parametrize("destination", BACKEND_NAMES)
+    @pytest.mark.parametrize("destination", STORE_KINDS)
     def test_rehoming_round_trip_lands_in_any_backend(
-        self, store, schema, destination
+        self, store, schema, destination, tmp_path
     ):
         """Records extracted from one backend replay into any other kind."""
         key = key_for("R", "a", 1)
@@ -158,64 +165,109 @@ class TestConformance:
         ]
         for tup in tuples:
             store.add(key, tup, now=10.0 + tup.sequence)
-        target = make_store(destination)
+        target = open_store(destination, tmp_path / "target.db")
         try:
             for record in store.remove_key(key):
                 target.add(record.key, record.tuple, record.stored_at)
             assert len(store) == 0
             assert [t.sequence for t in target.tuples_for_key(key)] == [1, 2, 3]
-            assert [r.stored_at for r in target.records_for_key(key)] == [
+            assert target.tuples_for_prefix(prefix_for("R", "a")) == sorted(
+                tuples, key=lambda t: t.sequence
+            )
+            assert [r.stored_at for r in target.remove_key(key)] == [
                 11.0,
                 12.0,
                 13.0,
             ]
-            assert target.tuples_for_prefix(prefix_for("R", "a")) == sorted(
-                tuples, key=lambda t: t.sequence
-            )
         finally:
             target.close()
 
-    def test_len_and_distinct_consistency(self, store, schema):
+    def test_len_counts_every_key_slot(self, store, schema):
         shared = make_tuple(schema, (1, 2), 1)
         store.add("k1", shared, now=0.0)
         store.add("k2", shared, now=0.0)
         store.add("k1", make_tuple(schema, (3, 4), 2), now=0.0)
         assert len(store) == 3
-        assert store.distinct_tuples() == 2
         store.remove_key("k2")
         assert len(store) == 2
-        assert store.distinct_tuples() == 2  # identity 1 still lives under k1
+        assert store.tuples_for_key("k1")[0] == shared  # still lives under k1
         store.remove_key("k1")
         assert len(store) == 0
-        assert store.distinct_tuples() == 0
 
-    def test_cumulative_stored_survives_clear(self, store, schema):
-        for seq in range(5):
-            store.add("k", make_tuple(schema, (seq, seq), seq), now=0.0)
-        assert store.cumulative_stored == 5
-        store.clear()
-        assert len(store) == 0
-        assert store.cumulative_stored == 5
-        assert not store.has_key("k")
-        store.add("k", make_tuple(schema, (1, 1), 99), now=0.0)
-        assert len(store) == 1
-        assert store.cumulative_stored == 6
-
-    def test_keys_and_iteration(self, store, schema):
+    def test_keys_lists_occupied_keys(self, store, schema):
         store.add("a", make_tuple(schema, (1, 1), 1), now=0.0)
         store.add("b", make_tuple(schema, (2, 2), 2), now=0.0)
         assert sorted(store.keys()) == ["a", "b"]
-        assert sorted(r.tuple.sequence for r in store) == [1, 2]
+        store.remove_key("a")
+        assert list(store.keys()) == ["b"]
 
     def test_empty_store_edge_cases(self, store):
         assert len(store) == 0
-        assert store.distinct_tuples() == 0
         assert list(store.keys()) == []
-        assert list(store) == []
-        assert store.remove_published_before(100.0) == 0
-        assert store.remove_sequenced_before(100) == 0
+        assert store.remove_expired(published_before=100.0) == 0
+        assert store.remove_expired(sequenced_before=100) == 0
+        assert store.remove_key("anything") == []
         assert store.tuples_for_prefix("anything") == []
-        store.clear()
+        assert store.match_batch([]) == []
+
+    def test_expiry_after_remove_key_counts_only_live_records(self, store, schema):
+        for seq in range(1, 5):
+            store.add(
+                "k", make_tuple(schema, (seq, seq), seq, pub_time=float(seq)), now=0.0
+            )
+        store.add("j", make_tuple(schema, (9, 9), 9, pub_time=6.0), now=0.0)
+        assert store.remove_expired(published_before=2.0) == 1  # seq 1
+        store.remove_key("k")
+        # The records that left through remove_key are not expired twice.
+        assert store.remove_expired(published_before=10.0) == 1  # seq 9 under j
+        assert store.remove_expired(sequenced_before=100) == 0
+        assert len(store) == 0
+
+    def test_re_added_key_expires_again(self, store, schema):
+        store.add("k", make_tuple(schema, (1, 1), 1, pub_time=1.0), now=0.0)
+        assert store.remove_expired(published_before=0.5) == 0
+        store.remove_key("k")
+        store.add("k", make_tuple(schema, (2, 2), 2, pub_time=2.0), now=1.0)
+        store.add("k", make_tuple(schema, (3, 3), 3, pub_time=3.0), now=1.0)
+        assert store.remove_expired(published_before=2.5) == 1
+        assert [t.sequence for t in store.tuples_for_key("k")] == [3]
+        assert store.remove_expired(sequenced_before=4) == 1
+        assert list(store.keys()) == []
+
+    def test_expiry_empties_keys_and_buckets(self, store, schema):
+        store.add(key_for("R", "a", 1), make_tuple(schema, (1, 1), 1, pub_time=1.0), now=0.0)
+        store.add(key_for("R", "a", 2), make_tuple(schema, (2, 2), 2, pub_time=5.0), now=0.0)
+        assert len(store.tuples_for_prefix(prefix_for("R", "a"))) == 2  # memoised
+        assert store.remove_expired(published_before=2.0) == 1
+        assert list(store.keys()) == [key_for("R", "a", 2)]
+        assert store.tuples_for_key(key_for("R", "a", 1)) == []
+        assert [t.sequence for t in store.tuples_for_prefix(prefix_for("R", "a"))] == [2]
+        assert store.remove_expired(sequenced_before=3) == 1
+        assert store.tuples_for_prefix(prefix_for("R", "a")) == []
+        assert list(store.keys()) == []
+
+    def test_expiry_removes_every_slot_of_a_publication(self, store, schema):
+        shared = make_tuple(schema, (1, 2), 1, pub_time=1.0)
+        store.add(key_for("R", "a", 1), shared, now=0.0)
+        store.add(key_for("R", "b", 2), shared, now=0.0)
+        store.add(key_for("R", "a", 3), make_tuple(schema, (3, 3), 2, pub_time=4.0), now=0.0)
+        assert store.remove_expired(published_before=2.0) == 2  # both slots
+        assert sorted(store.keys()) == [key_for("R", "a", 3)]
+        assert store.tuples_for_prefix(prefix_for("R", "b")) == []
+        assert len(store) == 1
+
+    def test_lookup_results_are_private_copies(self, store, schema):
+        """Callers may mutate results without corrupting memoised state."""
+        prefix = prefix_for("R", "a")
+        tup = make_tuple(schema, (1, 1), 1)
+        store.add(key_for("R", "a", 1), tup, now=0.0)
+        store.tuples_for_prefix(prefix).append("junk")
+        store.tuples_for_key(key_for("R", "a", 1)).clear()
+        (batched,) = store.match_batch([prefix])
+        batched.append("junk")
+        assert store.tuples_for_prefix(prefix) == [tup]
+        assert store.match_batch([prefix]) == [[tup]]
+        assert store.tuples_for_key(key_for("R", "a", 1)) == [tup]
 
     def test_values_round_trip_exactly(self, store, schema):
         """Backends that serialize (sqlite) must preserve value types."""
@@ -228,7 +280,7 @@ class TestConformance:
 
 
 class TestBatchOperations:
-    """The set-at-a-time APIs must agree exactly with their per-item forms."""
+    """The set-at-a-time calls must agree exactly with their per-item forms."""
 
     def test_add_batch_matches_per_item_adds(self, store, schema):
         entries = [
@@ -240,7 +292,6 @@ class TestBatchOperations:
         assert [r.key for r in records] == [key for key, _, _ in entries]
         assert [r.stored_at for r in records] == [now for _, _, now in entries]
         assert len(store) == 8
-        assert store.cumulative_stored == 8
         expected = make_store(store.name)
         try:
             for key, tup, now in entries:
@@ -257,26 +308,17 @@ class TestBatchOperations:
         store.add(key_for("R", "a", 9), make_tuple(schema, (9, 9), 2, pub_time=1.0), now=0.0)
         store.add(key_for("S", "b", 1), make_tuple(schema, (7, 7), 3), now=0.0)
         store.add("plain-key", make_tuple(schema, (4, 4), 4), now=0.0)
-        probes = [
-            ("prefix", prefix_for("R", "a")),
-            ("key", key_for("R", "a", 1)),
-            ("prefix", prefix_for("S", "b")),
-            ("key", "missing-key"),
-            ("prefix", prefix_for("R", "zzz")),
-            ("prefix", "plain"),
-            ("prefix", prefix_for("R", "a")),  # repeated probe
+        prefixes = [
+            prefix_for("R", "a"),
+            prefix_for("S", "b"),
+            prefix_for("R", "zzz"),
+            "plain",
+            prefix_for("R", "a"),  # repeated probe
         ]
-        batched = store.match_batch(probes)
-        assert len(batched) == len(probes)
-        for (kind, text), result in zip(probes, batched):
-            if kind == "key":
-                assert result == store.tuples_for_key(text)
-            else:
-                assert result == store.tuples_for_prefix(text)
-
-    def test_match_batch_rejects_unknown_probe_kind(self, store):
-        with pytest.raises(ConfigurationError, match="unknown probe kind"):
-            store.match_batch([("range", "whatever")])
+        batched = store.match_batch(prefixes)
+        assert len(batched) == len(prefixes)
+        for prefix, result in zip(prefixes, batched):
+            assert result == store.tuples_for_prefix(prefix)
 
     def test_key_probe_keeps_duplicate_identities(self, store, schema):
         # The contract allows the same publication under one key twice; key
@@ -284,17 +326,7 @@ class TestBatchOperations:
         tup = make_tuple(schema, (1, 1), 1)
         store.add("k", tup, now=0.0)
         store.add("k", tup, now=1.0)
-        (result,) = store.match_batch([("key", "k")])
-        assert result == [tup, tup]
-
-    def test_tuples_for_prefixes_maps_each_prefix(self, store, schema):
-        store.add(key_for("R", "a", 1), make_tuple(schema, (1, 1), 1), now=0.0)
-        store.add(key_for("R", "b", 2), make_tuple(schema, (2, 2), 2), now=0.0)
-        prefixes = [prefix_for("R", "a"), prefix_for("R", "b"), prefix_for("T", "a")]
-        mapping = store.tuples_for_prefixes(prefixes)
-        assert set(mapping) == set(prefixes)
-        for prefix in prefixes:
-            assert mapping[prefix] == store.tuples_for_prefix(prefix)
+        assert store.tuples_for_key("k") == [tup, tup]
 
     def test_batch_results_stay_consistent_across_writes_and_gc(self, store, schema):
         """Memoised bucket results must track interleaved mutation exactly."""
@@ -323,12 +355,32 @@ class TestBatchOperations:
             1, 2, 3, 4, 5, 11, 6, 7, 8, 9, 10, 12,
         ]
         # Ranged GC, keyed removal and re-probing must all agree again.
-        assert store.remove_published_before(5.0) == 4
+        assert store.remove_expired(published_before=5.0) == 4
         store.remove_key(key_for("R", "a", 3))
-        (after,) = store.match_batch([("prefix", prefix)])
+        (after,) = store.match_batch([prefix])
         # seq 3 (already expired) and seq 7 lived under value 3.
         assert {t.sequence for t in after} == {5, 6, 8, 9, 10, 11, 12}
         assert after == store.tuples_for_prefix(prefix)
+
+    def test_empty_batches_are_no_ops(self, store, schema):
+        assert store.add_batch([]) == []
+        store.add("k", make_tuple(schema, (1, 1), 1), now=0.0)
+        assert store.add_batch([]) == []
+        assert store.match_batch([]) == []
+        assert len(store) == 1
+
+    def test_flush_is_idempotent_and_keeps_contents(self, store, schema):
+        records = store.add_batch(
+            [("k", make_tuple(schema, (seq, seq), seq), 0.0) for seq in (2, 1)]
+        )
+        store.flush()
+        store.flush()
+        assert len(store) == 2
+        assert store.tuples_for_key("k") == sorted(
+            (record.tuple for record in records), key=lambda t: t.sequence
+        )
+        store.flush()
+        assert [r.tuple.sequence for r in store.remove_key("k")] == [1, 2]
 
     def test_remove_expired_combines_both_cutoffs(self, store, schema):
         for seq in range(1, 7):
@@ -354,41 +406,118 @@ class TestBatchOperations:
         assert [t.sequence for t in store.tuples_for_key("k")] == [4]
 
 
-class TestStoreTuning:
-    def test_invalid_tuning_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            StoreTuning(compact_min_dead=0)
-        with pytest.raises(ConfigurationError):
-            StoreTuning(compact_dead_fraction=0.0)
-        with pytest.raises(ConfigurationError):
-            StoreTuning(compact_dead_fraction=1.5)
 
-    def test_append_log_honours_aggressive_thresholds(self, schema):
-        tuning = StoreTuning(compact_min_dead=1, compact_dead_fraction=0.01)
-        store = make_store("append-log", tuning=tuning)
-        try:
-            assert store.compact_min_dead == 1
-            for seq in range(1, 21):
-                store.add(
-                    "k",
-                    make_tuple(schema, (seq, seq), seq, pub_time=float(seq)),
-                    now=0.0,
+class TestAgainstModel:
+    """Random operation sequences agree with a scan-based model of the contract."""
+
+    class Model:
+        """Every record as a plain list; each call answers by full scan."""
+
+        def __init__(self):
+            self.records = []  # (key, tuple)
+
+        def add(self, key, tup):
+            self.records.append((key, tup))
+
+        def remove_expired(self, published_before=None, sequenced_before=None):
+            def expired(tup):
+                return (published_before is not None and tup.pub_time < published_before) or (
+                    sequenced_before is not None and tup.sequence < sequenced_before
                 )
-            assert store.remove_published_before(11.0) == 10
-            # With a tombstone floor of one, a single sweep must compact.
-            assert store.compactions >= 1
-            assert [t.sequence for t in store.tuples_for_key("k")] == list(
-                range(11, 21)
+
+            kept = [(k, t) for k, t in self.records if not expired(t)]
+            removed = len(self.records) - len(kept)
+            self.records = kept
+            return removed
+
+        def remove_key(self, key):
+            removed = [t for k, t in self.records if k == key]
+            self.records = [(k, t) for k, t in self.records if k != key]
+            return sorted(removed, key=lambda t: (t.pub_time, t.sequence))
+
+        def tuples_for_key(self, key):
+            return sorted(
+                (t for k, t in self.records if k == key),
+                key=lambda t: (t.pub_time, t.sequence),
             )
+
+        def tuples_for_prefix(self, prefix):
+            unique = {t.identity: t for k, t in self.records if k.startswith(prefix)}
+            return sorted(unique.values(), key=lambda t: (t.pub_time, t.sequence))
+
+        def keys(self):
+            return sorted({k for k, _ in self.records})
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_random_operations_match_model(self, store, schema, seed):
+        rng = random.Random(seed)
+        model = self.Model()
+        prefixes = [prefix_for(r, a) for r in "RS" for a in "ab"] + ["R", ""]
+        clock = 0.0
+        sequence = 0
+        for _ in range(300):
+            clock += rng.random()
+            op = rng.random()
+            if op < 0.5:
+                batch = []
+                for _ in range(rng.choice((1, 1, 3))):
+                    sequence += 1
+                    tup = make_tuple(
+                        schema,
+                        (rng.randint(0, 3), rng.randint(0, 3)),
+                        sequence,
+                        pub_time=clock - rng.random(),
+                    )
+                    key = key_for(rng.choice("RS"), rng.choice("ab"), rng.randint(0, 4))
+                    batch.append((key, tup, clock))
+                    # A publication may be indexed under a second key.
+                    if rng.random() < 0.2:
+                        batch.append((key_for("R", "b", tup.values[1]), tup, clock))
+                if len(batch) == 1:
+                    store.add(*batch[0])
+                else:
+                    store.add_batch(batch)
+                for key, tup, _ in batch:
+                    model.add(key, tup)
+            elif op < 0.65:
+                cutoffs = {}
+                if rng.random() < 0.7:
+                    cutoffs["published_before"] = clock - rng.uniform(0.0, 15.0)
+                if rng.random() < 0.5:
+                    cutoffs["sequenced_before"] = sequence - rng.randint(0, 40)
+                assert store.remove_expired(**cutoffs) == model.remove_expired(**cutoffs)
+            elif op < 0.75:
+                keys = model.keys()
+                key = rng.choice(keys) if keys else "absent"
+                removed = [record.tuple for record in store.remove_key(key)]
+                assert removed == model.remove_key(key)
+            else:
+                probes = [rng.choice(prefixes) for _ in range(rng.randint(1, 3))]
+                assert store.match_batch(probes) == [
+                    model.tuples_for_prefix(prefix) for prefix in probes
+                ]
+            assert len(store) == len(model.records)
+        assert sorted(store.keys()) == model.keys()
+        for key in model.keys():
+            assert store.tuples_for_key(key) == model.tuples_for_key(key)
+
+
+class TestSqliteFile:
+    def test_flushed_rows_reach_the_database_file(self, schema, tmp_path):
+        import sqlite3
+
+        path = tmp_path / "store.db"
+        store = SqliteTupleStore(str(path))
+        try:
+            store.add_batch(
+                [("k", make_tuple(schema, (seq, seq), seq), 0.0) for seq in (1, 2, 3)]
+            )
+            store.flush()
+            reader = sqlite3.connect(str(path))
+            try:
+                (count,) = reader.execute("SELECT COUNT(*) FROM records").fetchone()
+            finally:
+                reader.close()
+            assert count == 3
         finally:
             store.close()
-
-    def test_memory_and_sqlite_ignore_tuning(self, schema):
-        tuning = StoreTuning(compact_min_dead=1, compact_dead_fraction=0.01)
-        for name in ("memory", "sqlite"):
-            store = make_store(name, tuning=tuning)
-            try:
-                store.add("k", make_tuple(schema, (1, 1), 1), now=0.0)
-                assert store.tuples_for_key("k")[0].sequence == 1
-            finally:
-                store.close()
