@@ -5,14 +5,17 @@ runtime transport (the deterministic ``sim`` runtime or the concurrent
 ``asyncio`` actor runtime, selected by ``RJoinConfig.runtime``), the
 messaging API with traffic accounting, one
 :class:`~repro.core.node.RJoinNode` per DHT node, the indexing strategy, and
-the answer registry.  Library users interact with three operations:
+the answer registry.  Library users interact with these operations:
 
 * :meth:`RJoinEngine.submit` — register a continuous query (SQL text or a
   parsed :class:`~repro.sql.ast.Query`) and obtain a
   :class:`~repro.core.answers.QueryHandle` that accumulates its answers,
 * :meth:`RJoinEngine.remove_query` — retract a previously submitted query,
   deleting its state on every node (see :mod:`repro.core.lifecycle`),
-* :meth:`RJoinEngine.publish` — insert a tuple into the network,
+* :meth:`RJoinEngine.publish_batch` — insert tuples into the network
+  (Procedure 1, one ``multiSend`` per publishing node), drain it, and run
+  the store flush, garbage-collection and rebalancing hooks; this is the
+  only ingestion path, and :meth:`RJoinEngine.publish` is a batch of one,
 * :meth:`RJoinEngine.run` — drain the simulated network (deliver every
   pending message).
 
@@ -354,41 +357,8 @@ class RJoinEngine:
         publisher: Optional[str] = None,
         process: bool = True,
     ) -> Tuple:
-        """Publish a tuple of ``relation`` into the network (Procedure 1)."""
-        if relation not in self.catalog:
-            raise UnknownRelationError(
-                f"relation {relation!r} is not registered with the engine"
-            )
-        if publisher is None:
-            publisher = self._rng.choice(self.ring.addresses)
-        elif publisher not in self.nodes:
-            raise EngineError(f"unknown publisher node {publisher!r}")
-        tup = self._build_tuple(relation, values, publisher)
-        with self._operation("publish", f"pub-{tup.sequence}", publisher):
-            self.nodes[publisher].publish_tuple(tup)
-        published_before = self._published
-        self._published += 1
-        if process:
-            self.run()
-        self._maybe_gc(published_before)
-        self._maybe_rebalance(published_before)
-        return tup
-
-    def publish_many(
-        self,
-        rows: Iterable[tuple],
-        process_each: bool = True,
-    ) -> List[Tuple]:
-        """Publish ``(relation, values)`` pairs; returns the created tuples."""
-        checked = self._checked_rows(rows, operation="publish_many")
-        published = []
-        for relation, values in checked:
-            published.append(
-                self.publish(relation, values, process=process_each)
-            )
-        if not process_each:
-            self.run()
-        return published
+        """Publish one tuple of ``relation`` (Procedure 1): a batch of one."""
+        return self.publish_batch(((relation, values),), publisher, process)[0]
 
     def publish_batch(
         self,
@@ -396,25 +366,26 @@ class RJoinEngine:
         publisher: Optional[str] = None,
         process: bool = True,
     ) -> List[Tuple]:
-        """Publish a whole batch of ``(relation, values)`` pairs at once.
+        """Publish ``(relation, values)`` pairs; returns the created tuples.
 
-        The vectorized fast path behind high-rate workloads: tuples are
-        grouped per publishing node and handed to one ``multiSend`` each, so
-        every indexing key is hashed once for the batch (memoised by the
-        identifier space) and traffic accounting is coalesced per batch
-        instead of per message.  The network is drained a single time at the
-        end, and the garbage-collection / rebalancing hooks fire once per
-        crossed scheduling boundary rather than once per tuple.
+        The engine's one ingestion path (:meth:`publish` is a batch of one).
+        The whole batch is validated before any state changes.  Tuples are
+        grouped per publishing node and each group is indexed with a single
+        ``multiSend`` under one ``"publish"`` root span, traced as
+        ``pub-{first sequence}``.  With ``process`` the network is then
+        drained once and every store flushed (one write transaction per node
+        per batch).  Garbage collection and rebalancing run once when the
+        batch crosses one of their every-N-tuples boundaries.
 
         ``publisher`` fixes the publishing node for the whole batch; by
-        default each row draws a random publisher, matching :meth:`publish`.
+        default each row draws a random publisher.
         """
         if publisher is not None and publisher not in self.nodes:
             raise EngineError(f"unknown publisher node {publisher!r}")
         # Validate the whole batch (shape, relation, arity) before mutating any
         # engine state, so a bad row cannot leave phantom sequence numbers or
         # oracle counts behind.
-        rows = self._checked_rows(rows, operation="publish_batch")
+        rows = self._checked_rows(rows)
         published_before = self._published
         published: List[Tuple] = []
         by_publisher: Dict[str, List[Tuple]] = {}
@@ -424,27 +395,21 @@ class RJoinEngine:
             by_publisher.setdefault(address, []).append(tup)
             published.append(tup)
         for address, tuples in by_publisher.items():
-            # One root span per publisher group, named after its first
-            # sequence number: the whole multiSend fan-out of the group
-            # shares one trace.
-            trace_id = f"pub-{tuples[0].sequence}"
-            with self._operation("publish_batch", trace_id, address):
+            with self._operation("publish", f"pub-{tuples[0].sequence}", address):
                 self.nodes[address].publish_tuples(tuples)
         self._published += len(published)
         if process:
             self.run()
-            # One write transaction per node per batch: disk backends buffer
-            # their inserts, so the whole drain's fan-out lands with a single
-            # flush here instead of a lazy flush on the next probe.
+            # Disk backends buffer their inserts, so the whole drain's fan-out
+            # lands with a single flush here instead of a lazy flush on the
+            # next probe.
             for node in self.nodes.values():
                 node.tuple_store.flush()
         self._maybe_gc(published_before)
         self._maybe_rebalance(published_before)
         return published
 
-    def _checked_rows(
-        self, rows: Iterable[tuple], operation: str
-    ) -> List[tuple]:
+    def _checked_rows(self, rows: Iterable[tuple]) -> List[tuple]:
         """Validate ``(relation, values)`` rows without touching engine state.
 
         Every row must be a two-element ``(relation, values)`` pair naming a
@@ -462,7 +427,7 @@ class RJoinEngine:
                 relation, values = row
             except (TypeError, ValueError):
                 raise EngineError(
-                    f"{operation} row {position} must be a (relation, values) "
+                    f"publish_batch row {position} must be a (relation, values) "
                     f"pair; got {row!r}"
                 ) from None
             if relation not in self.catalog:
@@ -474,12 +439,12 @@ class RJoinEngine:
                 values = tuple(values)
             except TypeError:
                 raise EngineError(
-                    f"{operation} row {position}: values for relation "
+                    f"publish_batch row {position}: values for relation "
                     f"{relation!r} must be a sequence; got {values!r}"
                 ) from None
             if len(values) != schema.arity:
                 raise SchemaError(
-                    f"{operation} row {position}: tuple for relation "
+                    f"publish_batch row {position}: tuple for relation "
                     f"{relation!r} has {len(values)} values but the schema "
                     f"has arity {schema.arity}"
                 )

@@ -561,19 +561,13 @@ class RJoinNode:
     # ------------------------------------------------------------------
     # Procedure 1: publishing a tuple
     # ------------------------------------------------------------------
-    def publish_tuple(self, tup: Tuple) -> int:
-        """Index ``tup`` in the network: twice per attribute (attribute + value level).
-
-        Returns the number of messages handed to ``multiSend``.
-        """
-        return self.publish_tuples((tup,))
-
     def publish_tuples(self, tuples: Sequence[Tuple]) -> int:
-        """Index a whole batch of tuples with a single ``multiSend``.
+        """Index ``tuples`` with a single ``multiSend``.
 
-        The batch path hashes every indexing key once and lets the messaging
-        service coalesce the per-message traffic accounting; it is the fast
-        path behind :meth:`repro.core.engine.RJoinEngine.publish_batch`.
+        Each tuple is indexed twice per attribute (attribute and value
+        level); every indexing key is hashed once and the messaging service
+        coalesces the per-message traffic accounting.  Returns the number of
+        messages handed to ``multiSend``.
         """
         catalog = self.ctx.catalog
         hash_key = self.ctx.space.hash_key

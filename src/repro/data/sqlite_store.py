@@ -26,11 +26,11 @@ Python values still round-trip exactly (the cross-backend answer-equality
 tests rely on this).  Writes are *batched*:
 :meth:`SqliteTupleStore.add` only appends to a pending buffer, and the
 buffer is flushed inside a single ``executemany`` transaction the first
-time a read or removal needs to see it.  Under the engine's batched publish
-path (``RJoinEngine.publish_batch``) every tuple fan-out of one network
-drain lands in one transaction per node.  Window and sequence GC is one
-ranged ``DELETE`` (:meth:`SqliteTupleStore.remove_expired` combines both
-cutoffs into one statement).
+time a read or removal needs to see it.  The engine's publish path
+(``RJoinEngine.publish_batch``) flushes after each network drain, so every
+tuple fan-out of one batch lands in one transaction per node.  Window and
+sequence GC is one ranged ``DELETE`` (:meth:`SqliteTupleStore.remove_expired`
+combines both cutoffs into one statement).
 
 By default the database lives in memory (``:memory:``); pass a path to put
 it on disk and study out-of-core behaviour.

@@ -13,7 +13,7 @@ numbers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, Tuple
 
 from repro.data.backends import BACKEND_NAMES, DEFAULT_BACKEND
@@ -189,11 +189,8 @@ class ExperimentConfig:
     window: Optional[WindowSpec] = None
     distinct: bool = False
     # Arrival pattern ---------------------------------------------------------
-    #: ``"per-tuple"`` publishes (and drains) one tuple at a time, mirroring
-    #: the paper's steady arrivals; ``"batch"`` publishes bursts of
-    #: ``batch_size`` tuples through ``RJoinEngine.publish_batch`` (one drain
-    #: per burst), modelling high-rate batched arrivals.
-    publish_mode: str = "per-tuple"
+    #: Tuples per ``RJoinEngine.publish_batch`` call (one network drain per
+    #: burst); 1 is the paper's steady per-tuple arrival.
     batch_size: int = 1
     # Adversarial value skew ---------------------------------------------------
     #: Fraction of tuples whose values are forced onto the hottest keys (see
@@ -232,11 +229,6 @@ class ExperimentConfig:
             raise ExperimentError("warmup_tuples must be non-negative")
         if self.join_arity < 2:
             raise ExperimentError("experiments need at least two-way joins")
-        if self.publish_mode not in ("per-tuple", "batch"):
-            raise ExperimentError(
-                "publish_mode must be 'per-tuple' or 'batch', "
-                f"got {self.publish_mode!r}"
-            )
         if self.batch_size < 1:
             raise ExperimentError("batch_size must be at least one tuple")
         if self.observability not in OBSERVABILITY_MODES:
@@ -271,7 +263,18 @@ class ExperimentConfig:
                 )
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
-        """A copy of the configuration with the given fields replaced."""
+        """A copy of the configuration with the given fields replaced.
+
+        Unknown field names raise :class:`ExperimentError` listing the known
+        ones (``dataclasses.replace`` would raise a bare ``TypeError``).
+        """
+        known = [spec.name for spec in fields(self)]
+        unknown = sorted(set(overrides) - set(known))
+        if unknown:
+            raise ExperimentError(
+                f"unknown config field(s) {', '.join(unknown)}; "
+                f"known fields: {', '.join(known)}"
+            )
         return replace(self, **overrides)
 
     @classmethod

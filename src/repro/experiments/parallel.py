@@ -226,15 +226,16 @@ def run_grid(
         scenario = get_scenario(scenario)
     if workers < 0:
         raise ExperimentError("workers must be non-negative")
-    output_dir = Path(output_dir) / scenario.name
-    output_dir.mkdir(parents=True, exist_ok=True)
-
+    # Resolve (and so validate) every cell before touching the filesystem:
+    # a bad override must not leave an empty scenario directory behind.
     cells = scenario.cells(
         seeds=seeds,
         strategies=strategies,
         overrides=overrides,
         full_scale=full_scale,
     )
+    output_dir = Path(output_dir) / scenario.name
+    output_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     outcomes_by_id: Dict[str, CellOutcome] = {}
     pending: List[ScenarioCell] = []

@@ -166,7 +166,6 @@ def build_workload(config: ExperimentConfig) -> WorkloadGenerator:
         join_arity=config.join_arity,
         window=config.window,
         distinct=config.distinct,
-        burst_size=config.batch_size,
         hot_key_fraction=config.hot_key_fraction,
         hot_value_count=config.hot_value_count,
         seed=config.seed,
@@ -197,12 +196,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     baseline = engine.metrics_summary()
     messages_after_queries, ric_after_queries = engine.traffic.snapshot()
 
-    # Phase 2: publish tuples, tracking checkpoints and per-tuple load.  In
-    # batch mode the stream is grouped into bursts handed to publish_batch
-    # (one network drain per burst); snapshots are then taken at burst
-    # granularity, so per-tuple series repeat the post-burst value for every
-    # tuple of the burst and checkpoints snap to the end of the burst that
-    # crosses them.
+    # Phase 2: publish tuples, tracking checkpoints and per-tuple load.  The
+    # stream is grouped into bursts of batch_size handed to publish_batch
+    # (one network drain per burst; batch_size=1 is the paper's per-tuple
+    # arrival).  Snapshots are taken at burst granularity, so per-tuple
+    # series repeat the post-burst value for every tuple of the burst and
+    # checkpoints snap to the end of the burst that crosses them.
     checkpoints: Dict[int, Dict[str, float]] = {}
     cumulative_qpl: List[int] = []
     cumulative_storage: List[int] = []
@@ -287,26 +286,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             for checkpoint in crossed:
                 checkpoints[checkpoint] = summary_now
 
-    if config.publish_mode == "batch":
-        index = 0
-        for batch in generator.tuple_batches(
-            config.num_tuples, config.batch_size
-        ):
-            engine.publish_batch(
-                [(generated.relation, generated.values) for generated in batch]
-            )
-            previous_index, index = index, index + len(batch)
-            _dispatch_churn(index)
-            _dispatch_query_churn(index)
-            _capture(index, previous_index)
-    else:
-        for index, generated in enumerate(
-            generator.tuple_stream(config.num_tuples), start=1
-        ):
-            engine.publish(generated.relation, generated.values)
-            _dispatch_churn(index)
-            _dispatch_query_churn(index)
-            _capture(index, index - 1)
+    index = 0
+    for batch in generator.tuple_batches(config.num_tuples, config.batch_size):
+        engine.publish_batch(
+            [(generated.relation, generated.values) for generated in batch]
+        )
+        previous_index, index = index, index + len(batch)
+        _dispatch_churn(index)
+        _dispatch_query_churn(index)
+        _capture(index, previous_index)
 
     # Churn events scheduled after the last publication are still pending on
     # the kernel; fire them (and their re-homing) before the final snapshot.

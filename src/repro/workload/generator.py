@@ -44,10 +44,6 @@ class WorkloadSpec:
     projection_size: int = 2          # attributes in the select list
     window: Optional[WindowSpec] = None
     distinct: bool = False
-    # Arrival pattern ------------------------------------------------------
-    #: Tuples per arrival burst; ``tuple_batches`` groups the stream into
-    #: bursts of this size (1 = steady per-tuple arrivals).
-    burst_size: int = 1
     # Adversarial value skew ------------------------------------------------
     #: Probability that a generated tuple is a "hot-key" tuple: every one of
     #: its values is drawn uniformly from the ``hot_value_count`` most popular
@@ -72,8 +68,6 @@ class WorkloadSpec:
             )
         if self.projection_size < 1:
             raise ConfigurationError("the select list needs at least one attribute")
-        if self.burst_size < 1:
-            raise ConfigurationError("burst_size must be at least one tuple")
         if not 0.0 <= self.hot_key_fraction <= 1.0:
             raise ConfigurationError("hot_key_fraction must lie in [0, 1]")
         if not 1 <= self.hot_value_count <= self.value_domain:
@@ -188,17 +182,16 @@ class WorkloadGenerator:
             produced += 1
 
     def tuple_batches(
-        self, count: Optional[int] = None, batch_size: Optional[int] = None
+        self, count: Optional[int], batch_size: int
     ) -> Iterator[List[GeneratedTuple]]:
-        """Yield the tuple stream grouped into arrival bursts.
+        """Yield the tuple stream grouped into arrival bursts of ``batch_size``.
 
-        ``batch_size`` defaults to the spec's ``burst_size``.  The underlying
-        stream is identical to :meth:`tuple_stream` — only the grouping
-        differs — so batched and per-tuple publication see the same tuples in
-        the same order for a fixed seed.  The final burst may be short when
+        The underlying stream is identical to :meth:`tuple_stream` — only the
+        grouping differs — so every burst size sees the same tuples in the
+        same order for a fixed seed.  The final burst may be short when
         ``count`` is not a multiple of the burst size.
         """
-        size = self.spec.burst_size if batch_size is None else int(batch_size)
+        size = int(batch_size)
         if size < 1:
             raise ConfigurationError("batch_size must be at least one tuple")
         batch: List[GeneratedTuple] = []

@@ -120,11 +120,6 @@ class TestEngineApi:
         with pytest.raises(EngineError):
             engine.publish("R", (1, 2), publisher="ghost")
 
-    def test_publish_many(self, engine):
-        handle = engine.submit("SELECT R.a FROM R, S WHERE R.b = S.c")
-        engine.publish_many([("R", (1, 10)), ("S", (10, 3))], process_each=False)
-        assert handle.values() == [(1,)]
-
     def test_handles_registry(self, engine):
         handle = engine.submit("SELECT R.a FROM R")
         assert engine.handle(handle.query_id) is handle
@@ -210,92 +205,132 @@ class TestStrategiesProduceSameAnswers:
         assert handle.values() == [(1, 99)]
 
 
+STRATEGIES = ["rjoin", "random", "worst", "first"]
+
+ROWS = [
+    ("R", (1, 10)),
+    ("S", (10, 20)),
+    ("T", (20, 99)),
+    ("R", (2, 10)),
+    ("S", (3, 4)),
+    ("T", (4, 7)),
+    ("S", (10, 21)),
+    ("T", (21, 55)),
+]
+SQL = "SELECT R.a, T.f FROM R, S, T WHERE R.b = S.c AND S.d = T.e"
+
+
+class TestPublishIsABatchOfOne:
+    """``publish(r, v)`` and ``publish_batch([(r, v)])`` are the same call."""
+
+    @staticmethod
+    def _run(catalog, strategy, observability, batch_of_one):
+        engine = RJoinEngine(
+            RJoinConfig(
+                num_nodes=16, seed=7, strategy=strategy, observability=observability
+            ),
+            catalog=catalog,
+        )
+        handle = engine.submit(SQL)
+        for relation, values in ROWS:
+            if batch_of_one:
+                engine.publish_batch([(relation, values)])
+            else:
+                engine.publish(relation, values)
+        return engine, sorted(handle.values())
+
+    @pytest.mark.parametrize("observability", ["off", "on"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_publish_equals_batch_of_one(self, small_catalog, strategy, observability):
+        single, single_bag = self._run(small_catalog, strategy, observability, False)
+        batch, batch_bag = self._run(small_catalog, strategy, observability, True)
+        assert single_bag == batch_bag
+        assert single.metrics_summary() == batch.metrics_summary()
+        if observability == "on":
+            roots = [
+                [(s.name, s.trace_id) for s in engine.obs.spans if s.parent_id is None]
+                for engine in (single, batch)
+            ]
+            assert roots[0] == roots[1]
+            assert ("publish", "pub-1") in roots[0]
+
+
 class TestBatchSequentialEquivalence:
-    """Same seed ⇒ batch and per-tuple publication agree (all strategies)."""
+    """Same seed ⇒ one batch and per-tuple publication agree on the answers.
 
-    ROWS = [
-        ("R", (1, 10)),
-        ("S", (10, 20)),
-        ("T", (20, 99)),
-        ("R", (2, 10)),
-        ("S", (3, 4)),
-        ("T", (4, 7)),
-        ("S", (10, 21)),
-        ("T", (21, 55)),
-    ]
-    SQL = "SELECT R.a, T.f FROM R, S, T WHERE R.b = S.c AND S.d = T.e"
-    #: Traffic totals are allowed to differ for RJoin only: with one drain per
-    #: batch, rewritten queries can be in flight concurrently, so the same
-    #: logical rewrite may trigger duplicate RIC lookups (answers are deduped,
-    #: but every transmitted message is still counted).  Load, storage and
-    #: answer metrics must match exactly for every strategy.
-    TRAFFIC_KEYS = (
-        "total_messages",
-        "ric_messages",
-        "messages_per_node",
-        "ric_messages_per_node",
-    )
-    #: The trigger-path observables may differ for *every* strategy: a
-    #: rewritten query still in flight when a later batch tuple lands is
-    #: matched by the stored-tuple catch-up on its arrival instead of by the
-    #: tuple-arrival probe, moving work between the counted probe path and
-    #: the uncounted catch-up.  Answers and load metrics still match exactly.
-    MATCHING_KEYS = (
-        "queries_triggered",
-        "trigger_candidates_scanned",
-        "shared_state_fanout",
-    )
+    One batch is drained once, so deliveries of different tuples interleave
+    where per-tuple publication drained between tuples.  What that may
+    change, per strategy, is pinned down here rather than exempted.
+    """
 
-    @pytest.mark.parametrize("strategy", ["rjoin", "random", "worst", "first"])
-    def test_batch_matches_sequential(self, small_catalog, strategy):
+    #: The trigger probe may scan a different number of candidates for every
+    #: strategy: a rewritten query still in flight when a later batch tuple
+    #: lands is matched by the stored-tuple catch-up on its arrival instead
+    #: of by the tuple-arrival probe.
+    MATCHING_KEYS = ("trigger_candidates_scanned",)
+
+    def _run(self, catalog, strategy, seed):
         sequential = RJoinEngine(
-            RJoinConfig(num_nodes=16, seed=7, strategy=strategy),
-            catalog=small_catalog,
+            RJoinConfig(num_nodes=16, seed=seed, strategy=strategy), catalog=catalog
         )
         batched = RJoinEngine(
-            RJoinConfig(num_nodes=16, seed=7, strategy=strategy),
-            catalog=small_catalog,
+            RJoinConfig(num_nodes=16, seed=seed, strategy=strategy), catalog=catalog
         )
-        h_seq = sequential.submit(self.SQL)
-        h_batch = batched.submit(self.SQL)
-        for relation, values in self.ROWS:
+        h_seq = sequential.submit(SQL)
+        h_batch = batched.submit(SQL)
+        for relation, values in ROWS:
             sequential.publish(relation, values)
-        batched.publish_batch(self.ROWS)
-
+        batched.publish_batch(ROWS)
         assert sorted(h_seq.values()) == sorted(h_batch.values())
         summary_seq = sequential.metrics_summary()
         summary_batch = batched.metrics_summary()
         assert set(summary_seq) == set(summary_batch)
-        exempt = set(self.MATCHING_KEYS)
-        if strategy == "rjoin":
-            exempt |= set(self.TRAFFIC_KEYS)
-        for key in summary_seq:
-            if key in exempt:
+        for key in self.MATCHING_KEYS:
+            summary_seq.pop(key)
+            summary_batch.pop(key)
+        return summary_seq, summary_batch
+
+    @staticmethod
+    def _without_ric(summary):
+        """``summary`` with RIC traffic taken out of the message totals."""
+        summary = dict(summary)
+        summary["total_messages"] -= summary.pop("ric_messages")
+        summary["messages_per_node"] -= summary.pop("ric_messages_per_node")
+        return summary
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_batch_matches_sequential(self, small_catalog, strategy):
+        for seed in range(10):
+            seq, batch = self._run(small_catalog, strategy, seed)
+            if strategy == "random":
+                # Random draws from its RNG in delivery order and one drain
+                # per batch reorders deliveries, so its choices (and with
+                # them QPL and storage, e.g. at seeds 2 and 3) depend on the
+                # seed; only the answers and the RIC traffic it never sends
+                # are fixed.
+                assert seq["ric_messages"] == batch["ric_messages"], seed
                 continue
-            assert summary_seq[key] == summary_batch[key], key
+            if strategy == "rjoin":
+                # Rewritten queries in flight together may look up the same
+                # RIC entry more than once; every other message is sent
+                # either way.
+                assert seq["ric_messages"] <= batch["ric_messages"], seed
+                seq, batch = self._without_ric(seq), self._without_ric(batch)
+            else:
+                assert seq["ric_messages"] == batch["ric_messages"], seed
+            assert seq == batch, seed
 
     @pytest.mark.parametrize("strategy", ["random", "worst", "first"])
     def test_summaries_identical_for_oracle_and_random_strategies(
         self, small_catalog, strategy
     ):
-        sequential = RJoinEngine(
-            RJoinConfig(num_nodes=16, seed=11, strategy=strategy),
-            catalog=small_catalog,
-        )
-        batched = RJoinEngine(
-            RJoinConfig(num_nodes=16, seed=11, strategy=strategy),
-            catalog=small_catalog,
-        )
-        sequential.submit(self.SQL)
-        batched.submit(self.SQL)
-        for relation, values in self.ROWS:
-            sequential.publish(relation, values)
-        batched.publish_batch(self.ROWS)
-        summary_seq = sequential.metrics_summary()
-        summary_batch = batched.metrics_summary()
-        for key in self.MATCHING_KEYS:
-            summary_seq.pop(key)
-            summary_batch.pop(key)
+        # For random this exact check holds at seed 11 (and 7, below) only:
+        # see the comment in test_batch_matches_sequential.
+        summary_seq, summary_batch = self._run(small_catalog, strategy, 11)
+        assert summary_seq == summary_batch
+
+    def test_random_summary_identical_at_seed_7(self, small_catalog):
+        summary_seq, summary_batch = self._run(small_catalog, "random", 7)
         assert summary_seq == summary_batch
 
 
@@ -382,16 +417,6 @@ class TestPublishBatch:
         with pytest.raises(EngineError) as excinfo:
             engine.publish_batch([("R", (1, 10)), bad_row])
         assert "publish_batch" in str(excinfo.value)
-        assert self._engine_state(engine) == before
-
-    @pytest.mark.parametrize("bad_row", [("R",), ("R", 1, 2, 3), 42, ("R", 5)])
-    def test_publish_many_malformed_rows_raise_engine_error(self, engine, bad_row):
-        before = self._engine_state(engine)
-        with pytest.raises(EngineError) as excinfo:
-            engine.publish_many([("R", (1, 10)), bad_row])
-        assert "publish_many" in str(excinfo.value)
-        # publish_many validates the whole list up front, so even the good
-        # leading row must not have been published.
         assert self._engine_state(engine) == before
 
     def test_oracle_rate_unaffected_by_failed_batch(self, engine):

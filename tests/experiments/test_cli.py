@@ -101,6 +101,14 @@ class TestRun:
         assert code == 2
         assert "key=value" in output
 
+    def test_unknown_set_field_is_reported_before_any_output(self, tmp_path):
+        code, output = run_cli(
+            "run", "bursty", "--set", "bogus=1", "--output", str(tmp_path)
+        )
+        assert code != 0
+        assert "bogus" in output
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReport:
     def test_report_without_run_fails_gracefully(self, tmp_path):

@@ -36,6 +36,14 @@ class TestExperimentConfig:
         assert changed.strategy == "worst"
         assert config.num_queries == 10
 
+    def test_with_overrides_rejects_unknown_fields(self):
+        config = ExperimentConfig()
+        with pytest.raises(ExperimentError) as excinfo:
+            config.with_overrides(publish_mode="batch")
+        message = str(excinfo.value)
+        assert "publish_mode" in message
+        assert "batch_size" in message  # the known fields are listed
+
     def test_presets(self):
         assert ExperimentConfig.paper_scale().num_nodes == 1000
         assert ExperimentConfig.default_scale().num_nodes == 100

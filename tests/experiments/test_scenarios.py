@@ -87,7 +87,6 @@ class TestScenarioSemantics:
     def test_bursty_uses_batch_publication(self):
         scenario = get_scenario("bursty")
         for cell in scenario.cells(seeds=[1]):
-            assert cell.config.publish_mode == "batch"
             assert cell.config.batch_size in (5, 20, 50)
 
     def test_window_churn_sets_sliding_windows(self):

@@ -33,7 +33,6 @@ class TestConfigRoundTrip:
         config = ExperimentConfig(
             window=WindowSpec(size=12, mode="tuples"),
             checkpoints=[4, 8],
-            publish_mode="batch",
             batch_size=4,
             hot_key_fraction=0.5,
             **TINY,
@@ -43,7 +42,7 @@ class TestConfigRoundTrip:
         restored = config_from_dict(data)
         assert restored.window == config.window
         assert restored.checkpoints == [4, 8]
-        assert restored.publish_mode == "batch"
+        assert restored.batch_size == 4
         assert restored.hot_key_fraction == 0.5
 
     def test_window_helpers(self):

@@ -97,9 +97,7 @@ class TestTupleGeneration:
 
 
 class TestArrivalPatternKnobs:
-    def test_invalid_burst_and_hotkey_specs(self):
-        with pytest.raises(ConfigurationError):
-            WorkloadSpec(burst_size=0)
+    def test_invalid_hotkey_specs(self):
         with pytest.raises(ConfigurationError):
             WorkloadSpec(hot_key_fraction=1.5)
         with pytest.raises(ConfigurationError):
@@ -111,22 +109,23 @@ class TestArrivalPatternKnobs:
 
     def test_tuple_batches_groups_the_same_stream(self):
         flat = WorkloadGenerator(WorkloadSpec(seed=5))
-        batched = WorkloadGenerator(WorkloadSpec(seed=5, burst_size=7))
+        batched = WorkloadGenerator(WorkloadSpec(seed=5))
         stream = flat.generate_tuples(20)
-        batches = list(batched.tuple_batches(20))
+        batches = list(batched.tuple_batches(20, 7))
         assert [len(b) for b in batches] == [7, 7, 6]
         assert [t for batch in batches for t in batch] == stream
 
-    def test_tuple_batches_explicit_size_overrides_spec(self):
-        generator = WorkloadGenerator(WorkloadSpec(seed=5, burst_size=3))
+    def test_tuple_batches_sizes_and_rejects_empty_bursts(self):
+        generator = WorkloadGenerator(WorkloadSpec(seed=5))
         assert [len(b) for b in generator.tuple_batches(10, batch_size=5)] == [5, 5]
+        assert [len(b) for b in generator.tuple_batches(3, batch_size=1)] == [1, 1, 1]
         with pytest.raises(ConfigurationError):
             list(generator.tuple_batches(4, batch_size=0))
 
     def test_disabled_hot_keys_leave_stream_unchanged(self):
         classic = WorkloadGenerator(WorkloadSpec(seed=9))
         knobbed = WorkloadGenerator(
-            WorkloadSpec(seed=9, hot_key_fraction=0.0, hot_value_count=5, burst_size=4)
+            WorkloadSpec(seed=9, hot_key_fraction=0.0, hot_value_count=5)
         )
         assert classic.generate_tuples(50) == knobbed.generate_tuples(50)
 
